@@ -16,10 +16,11 @@ use std::time::Duration;
 
 use rvisor_memory::GuestMemory;
 use rvisor_migrate::{
-    ConstantRateDirtier, FabricTransport, IdleDirtier, LoopbackTransport, MigrationConfig,
-    MigrationReport, PreCopy,
+    migrate, ConstantRateDirtier, DirtySource, FabricTransport, IdleDirtier, LoopbackTransport,
+    MigrationPlan, MigrationReport, Transport,
 };
 use rvisor_net::{Fabric, FabricParams, Link, LinkModel, DEFAULT_CHUNK_OVERHEAD};
+use rvisor_obs::Trace;
 use rvisor_types::{ByteSize, GuestAddress, Nanoseconds, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
 
@@ -37,13 +38,6 @@ fn memories() -> (GuestMemory, GuestMemory) {
     (src, dst)
 }
 
-fn config(streams: usize) -> MigrationConfig {
-    MigrationConfig {
-        streams: NonZeroUsize::new(streams).unwrap(),
-        ..Default::default()
-    }
-}
-
 fn fabric_params(nic: u64) -> FabricParams {
     FabricParams {
         nic_bytes_per_second: nic,
@@ -54,49 +48,37 @@ fn fabric_params(nic: u64) -> FabricParams {
     }
 }
 
-fn fabric_pipelined(params: FabricParams, streams: usize, dirty: f64) -> MigrationReport {
+/// A pre-copy of a fresh guest over `transport` on `streams` streams:
+/// serial for one, pipelined for more.
+fn run(
+    transport: &mut dyn Transport,
+    dirtier: &mut dyn DirtySource,
+    streams: usize,
+) -> MigrationReport {
     let (src, dst) = memories();
+    let plan = MigrationPlan {
+        streams: NonZeroUsize::new(streams).unwrap(),
+        ..Default::default()
+    };
+    let vcpus = [VcpuState::default()];
+    migrate(&src, &dst, &vcpus, transport, dirtier, &plan, &Trace::off()).unwrap()
+}
+
+/// A dirtying pre-copy across a 2-host fabric; also returns the fabric's
+/// wire bytes (payload plus per-stream chunk framing).
+fn fabric_run(params: FabricParams, streams: usize, dirty: f64) -> (MigrationReport, u64) {
     let mut fabric = Fabric::new(2, params).unwrap();
     let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
     let mut dirtier =
         ConstantRateDirtier::from_bandwidth_fraction(params.nic_bytes_per_second, dirty, 0, PAGES);
-    PreCopy::migrate_pipelined(
-        &src,
-        &dst,
-        &[VcpuState::default()],
-        &mut transport,
-        &mut dirtier,
-        &config(streams),
-    )
-    .unwrap()
+    let report = run(&mut transport, &mut dirtier, streams);
+    (report, fabric.wire_bytes_carried())
 }
 
 fn loopback_run(streams: usize) -> MigrationReport {
-    let (src, dst) = memories();
     let mut link = Link::new(LinkModel::ten_gigabit());
     let mut transport = LoopbackTransport::new(&mut link);
-    if streams == 0 {
-        // The serial reference path.
-        PreCopy::migrate_over(
-            &src,
-            &dst,
-            &[VcpuState::default()],
-            &mut transport,
-            &mut IdleDirtier,
-            &MigrationConfig::default(),
-        )
-        .unwrap()
-    } else {
-        PreCopy::migrate_pipelined(
-            &src,
-            &dst,
-            &[VcpuState::default()],
-            &mut transport,
-            &mut IdleDirtier,
-            &config(streams),
-        )
-        .unwrap()
-    }
+    run(&mut transport, &mut IdleDirtier, streams)
 }
 
 fn print_table() {
@@ -111,29 +93,10 @@ fn print_table() {
         let mut serial_bytes = None;
         for streams in [1usize, 2, 4, 8] {
             let params = fabric_params(nic);
-            let (src, dst) = memories();
-            let mut fabric = Fabric::new(2, params).unwrap();
-            let report = {
-                let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
-                let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                    params.nic_bytes_per_second,
-                    0.3,
-                    0,
-                    PAGES,
-                );
-                PreCopy::migrate_pipelined(
-                    &src,
-                    &dst,
-                    &[VcpuState::default()],
-                    &mut transport,
-                    &mut dirtier,
-                    &config(streams),
-                )
-                .unwrap()
-            };
+            let (report, wire_bytes) = fabric_run(params, streams, 0.3);
             // Same-seed replay is `==` (thread scheduling cannot leak into
             // the simulated clock).
-            let replay = fabric_pipelined(params, streams, 0.3);
+            let (replay, _) = fabric_run(params, streams, 0.3);
             assert_eq!(report, replay, "multi-stream run must replay ==");
             // Fair-share chunk streams move the same payload; only the
             // per-stream MTU framing grows with the stream count.
@@ -149,7 +112,7 @@ fn print_table() {
                 format!("{}", report.total_time),
                 format!("{}", report.downtime),
                 payload,
-                fabric.wire_bytes_carried(),
+                wire_bytes,
             );
         }
     }
@@ -169,8 +132,8 @@ fn bench(c: &mut Criterion) {
         .sample_size(20);
 
     group.throughput(Throughput::Bytes(PAGES * PAGE_SIZE));
-    group.bench_function("precopy_serial_4mib", |b| b.iter(|| loopback_run(0)));
-    for streams in [1usize, 2, 4] {
+    group.bench_function("precopy_serial_4mib", |b| b.iter(|| loopback_run(1)));
+    for streams in [2usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("precopy_pipelined_4mib", format!("{streams}way")),
             &streams,

@@ -12,10 +12,11 @@ use std::time::Duration;
 
 use rvisor_memory::GuestMemory;
 use rvisor_migrate::{
-    ConstantRateDirtier, FabricTransport, IdleDirtier, LoopbackTransport, MigrationConfig,
-    MigrationReport, MigrationSink, MigrationSource, PreCopy, Transport,
+    migrate, ConstantRateDirtier, FabricTransport, IdleDirtier, LoopbackTransport, MigrationConfig,
+    MigrationPlan, MigrationReport, MigrationSink, MigrationSource, PreCopy, Transport,
 };
 use rvisor_net::{Fabric, FabricParams, Link, LinkModel, DEFAULT_CHUNK_OVERHEAD};
+use rvisor_obs::Trace;
 use rvisor_types::{ByteSize, GuestAddress, Nanoseconds, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
 
@@ -49,13 +50,14 @@ fn fabric_precopy(params: FabricParams, dirty: f64) -> MigrationReport {
     let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
     let mut dirtier =
         ConstantRateDirtier::from_bandwidth_fraction(params.nic_bytes_per_second, dirty, 0, PAGES);
-    PreCopy::migrate_over(
+    migrate(
         &src,
         &dst,
         &[VcpuState::default()],
         &mut transport,
         &mut dirtier,
-        &MigrationConfig::default(),
+        &MigrationPlan::default(),
+        &Trace::off(),
     )
     .unwrap()
 }
@@ -105,13 +107,14 @@ fn print_table() {
     let (src2, dst2) = memories();
     let mut link2 = Link::new(LinkModel::gigabit());
     let mut transport = LoopbackTransport::new(&mut link2);
-    let streamed = PreCopy::migrate_over(
+    let streamed = migrate(
         &src2,
         &dst2,
         &[VcpuState::default()],
         &mut transport,
         &mut IdleDirtier,
-        &MigrationConfig::default(),
+        &MigrationPlan::default(),
+        &Trace::off(),
     )
     .unwrap();
     assert_eq!(streamed, direct);
@@ -172,13 +175,14 @@ fn bench(c: &mut Criterion) {
             let (src, dst) = memories();
             let mut link = Link::new(LinkModel::ten_gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
-            PreCopy::migrate_over(
+            migrate(
                 &src,
                 &dst,
                 &[VcpuState::default()],
                 &mut transport,
                 &mut IdleDirtier,
-                &MigrationConfig::default(),
+                &MigrationPlan::default(),
+                &Trace::off(),
             )
             .unwrap()
         });

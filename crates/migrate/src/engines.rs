@@ -1,20 +1,24 @@
-//! The migration engines.
+//! The direct migration engines and the knobs every engine shares.
 //!
-//! All three engines move the contents of a *source* [`GuestMemory`] into a
-//! *destination* [`GuestMemory`] across a [`Link`], accounting simulated
-//! time as they go and letting a [`DirtySource`] keep writing into the
+//! The three direct engines move the contents of a *source* [`GuestMemory`]
+//! into a *destination* [`GuestMemory`] memory to memory, accounting the
+//! bytes the wire format would carry across a [`Link`] and the simulated
+//! time they take, and letting a [`DirtySource`] keep writing into the
 //! source while pre-copy rounds are in flight (that is what makes the
 //! convergence behaviour real rather than assumed).
+//!
+//! They are the reference the streamed protocol is tested against: over a
+//! loopback transport, [`migrate`](crate::migrate) produces `==` reports and
+//! byte-identical memory (proptest-pinned in [`stream`](crate::stream)).
 
 use std::num::NonZeroUsize;
 
 use rvisor_memory::GuestMemory;
 use rvisor_net::Link;
-use rvisor_obs::{ArgValue, Trace};
 use rvisor_types::{Error, Nanoseconds, Result, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
 
-use crate::compress::{CompressionStats, PageCompression, PageCompressor};
+use crate::compress::{PageCompression, PageCompressor};
 use crate::dirty::DirtySource;
 use crate::report::{MigrationKind, MigrationReport, RoundStat};
 use crate::wire;
@@ -45,13 +49,13 @@ pub struct MigrationConfig {
     /// cache smaller than the guest's write working set erases most of the
     /// technique's benefit (the ablation knob of E4e).
     pub xbzrle_cache_pages: usize,
-    /// How many parallel migration streams the pipelined engine
+    /// How many parallel migration streams the pipelined data plane
     /// ([`crate::pipeline`]) shards the page-index space into (at most
     /// [`MAX_MIGRATION_STREAMS`]). Stripe `s` owns a fixed contiguous range
     /// of page indices, so a page always travels on the same stream and
-    /// sink-side applies can never race. The serial engines ignore the
-    /// knob; [`rvisor::Vmm::migrate_to_over`-style callers](crate::pipeline)
-    /// route `streams > 1` migrations through the pipelined engine.
+    /// sink-side applies can never race. The direct engines ignore the
+    /// knob; [`migrate`](crate::migrate) routes plans with `streams > 1`
+    /// through the pipelined plane.
     pub streams: NonZeroUsize,
 }
 
@@ -113,68 +117,6 @@ impl MigrationConfig {
         }
         Ok(())
     }
-}
-
-/// Emit the per-migration summary span, histogram samples and counters all
-/// three data planes share. A no-op (no allocation, no formatting) when
-/// `trace` is off.
-pub(crate) fn emit_migration_span(
-    trace: &Trace,
-    report: &MigrationReport,
-    start: Nanoseconds,
-    end: Nanoseconds,
-    stats: Option<CompressionStats>,
-) {
-    if !trace.is_on() {
-        return;
-    }
-    let stats = stats.unwrap_or_default();
-    trace.span(
-        "migrate",
-        report.kind.name(),
-        start,
-        end,
-        &[
-            ("pages", ArgValue::U64(report.pages_transferred)),
-            ("bytes", ArgValue::U64(report.bytes_transferred)),
-            ("rounds", ArgValue::U64(u64::from(report.rounds))),
-            ("downtime_ns", ArgValue::U64(report.downtime.as_nanos())),
-            ("converged", ArgValue::U64(u64::from(report.converged))),
-            ("zero_pages", ArgValue::U64(stats.pages_zero)),
-            ("delta_pages", ArgValue::U64(stats.pages_delta)),
-            ("raw_pages", ArgValue::U64(stats.pages_raw)),
-        ],
-    );
-    trace.observe("migration.downtime_ns", report.downtime.as_nanos());
-    trace.observe("migration.duration_ns", report.total_time.as_nanos());
-    trace.add("migrations", 1);
-}
-
-/// Emit one pre-copy round's sub-span and histogram samples.
-pub(crate) fn emit_round_span(
-    trace: &Trace,
-    name: &'static str,
-    round: u32,
-    stat: RoundStat,
-    start: Nanoseconds,
-    end: Nanoseconds,
-) {
-    if !trace.is_on() {
-        return;
-    }
-    trace.span(
-        "migrate/round",
-        name,
-        start,
-        end,
-        &[
-            ("round", ArgValue::U64(u64::from(round))),
-            ("pages", ArgValue::U64(stat.pages)),
-            ("bytes", ArgValue::U64(stat.bytes)),
-        ],
-    );
-    trace.observe("migrate.round.pages", stat.pages);
-    trace.observe("migrate.round.bytes", stat.bytes);
 }
 
 pub(crate) fn check_same_size(source: &GuestMemory, dest: &GuestMemory) -> Result<()> {
@@ -272,17 +214,6 @@ impl StopAndCopy {
         vcpus: &[VcpuState],
         link: &mut Link,
     ) -> Result<MigrationReport> {
-        Self::migrate_traced(source, dest, vcpus, link, &Trace::off())
-    }
-
-    /// [`StopAndCopy::migrate`] with trace spans emitted into `trace`.
-    pub fn migrate_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        link: &mut Link,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
         check_same_size(source, dest)?;
         let start = link.free_at();
         // Stream opener: version/geometry handshake (the guest is already
@@ -298,8 +229,7 @@ impl StopAndCopy {
             bytes,
             duration: after_pages.saturating_sub(after_hello),
         };
-        emit_round_span(trace, "round", 1, round, after_hello, after_pages);
-        let report = MigrationReport {
+        Ok(MigrationReport {
             kind: MigrationKind::StopAndCopy,
             downtime: elapsed,
             total_time: elapsed,
@@ -311,9 +241,7 @@ impl StopAndCopy {
             remote_faults: 0,
             avg_fault_latency: Nanoseconds::ZERO,
             rounds_breakdown: vec![round],
-        };
-        emit_migration_span(trace, &report, start, done, None);
-        Ok(report)
+        })
     }
 }
 
@@ -330,30 +258,6 @@ impl PreCopy {
         link: &mut Link,
         dirty_source: &mut dyn DirtySource,
         config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_traced(
-            source,
-            dest,
-            vcpus,
-            link,
-            dirty_source,
-            config,
-            &Trace::off(),
-        )
-    }
-
-    /// [`PreCopy::migrate`] with trace spans emitted into `trace`: one
-    /// sub-span per iterative round plus the stop phase, and the
-    /// per-migration summary span.
-    #[allow(clippy::too_many_arguments)]
-    pub fn migrate_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        link: &mut Link,
-        dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
-        trace: &Trace,
     ) -> Result<MigrationReport> {
         config.validate()?;
         check_same_size(source, dest)?;
@@ -398,7 +302,6 @@ impl PreCopy {
                 duration: round_duration,
             };
             breakdown.push(stat);
-            emit_round_span(trace, "round", rounds, stat, round_start, done);
             // The guest ran (and dirtied memory) for the whole round.
             dirty_source.run_for(source, round_duration)?;
             now = done;
@@ -426,19 +329,11 @@ impl PreCopy {
             duration: after_residual.saturating_sub(pause_start),
         };
         breakdown.push(stop_stat);
-        emit_round_span(
-            trace,
-            "stop-phase",
-            rounds + 1,
-            stop_stat,
-            pause_start,
-            after_residual,
-        );
         let state_bytes = VCPU_STATE_BYTES * vcpus.len().max(1) as u64;
         let done = link.transmit(after_residual, state_bytes);
         total_bytes += state_bytes;
 
-        let report = MigrationReport {
+        Ok(MigrationReport {
             kind: MigrationKind::PreCopy,
             downtime: done.saturating_sub(pause_start),
             total_time: done.saturating_sub(start),
@@ -450,9 +345,7 @@ impl PreCopy {
             remote_faults: 0,
             avg_fault_latency: Nanoseconds::ZERO,
             rounds_breakdown: breakdown,
-        };
-        emit_migration_span(trace, &report, start, done, compressor.map(|c| c.stats()));
-        Ok(report)
+        })
     }
 }
 
@@ -471,18 +364,6 @@ impl PostCopy {
         vcpus: &[VcpuState],
         link: &mut Link,
         config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_traced(source, dest, vcpus, link, config, &Trace::off())
-    }
-
-    /// [`PostCopy::migrate`] with trace spans emitted into `trace`.
-    pub fn migrate_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        link: &mut Link,
-        config: &MigrationConfig,
-        trace: &Trace,
     ) -> Result<MigrationReport> {
         config.validate()?;
         check_same_size(source, dest)?;
@@ -514,8 +395,7 @@ impl PostCopy {
             bytes,
             duration: after_pages.saturating_sub(resumed_at),
         };
-        emit_round_span(trace, "round", 1, round, resumed_at, after_pages);
-        let report = MigrationReport {
+        Ok(MigrationReport {
             kind: MigrationKind::PostCopy,
             downtime,
             total_time: done.saturating_sub(start),
@@ -527,9 +407,7 @@ impl PostCopy {
             remote_faults: fault_pages,
             avg_fault_latency: per_fault_latency.saturating_add(link.model().latency),
             rounds_breakdown: vec![round],
-        };
-        emit_migration_span(trace, &report, start, done, None);
-        Ok(report)
+        })
     }
 }
 
@@ -537,8 +415,9 @@ impl PostCopy {
 /// discipline, for `faults` demand faults each costing `per_fault` transfer
 /// time over a path with one-way propagation delay `latency`.
 ///
-/// The sweep-ordered engines ([`PostCopy::migrate_traced`] and its streamed
-/// and pipelined equivalents) charge their demand faults as one serialized
+/// The sweep-ordered engines ([`PostCopy::migrate`] and
+/// [`FaultService::Sweep`](crate::FaultService::Sweep) plans through
+/// [`migrate`](crate::migrate)) charge their demand faults as one serialized
 /// propagation delay each, appended after the background sweep
 /// (`fault_penalty = latency × faults`); their reports' `avg_fault_latency`
 /// records only the *per-fault transfer cost* (`per_fault + latency`) and
@@ -551,8 +430,7 @@ impl PostCopy {
 /// ```
 ///
 /// which is what this helper returns (`ZERO` for zero faults). A
-/// fault-lane run
-/// ([`PostCopy::migrate_fault_lane_over`](crate::PostCopy::migrate_fault_lane_over))
+/// fault-lane run ([`FaultService::FaultLane`](crate::FaultService::FaultLane))
 /// services every fault from a dedicated stream with no queueing, so its
 /// reported `avg_fault_latency` (`per_fault + latency`) *is* its mean
 /// service latency — strictly below the sweep's whenever two or more pages

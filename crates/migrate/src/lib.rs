@@ -28,35 +28,39 @@
 //! techniques production migration stacks use to survive write-heavy guests
 //! on thin links.
 //!
-//! ## Three data planes, one protocol
+//! ## One entry point, one reference
 //!
-//! Each engine exists in three forms that are pinned equivalent by proptest:
+//! [`migrate`] is the entry point: it runs the migration a [`MigrationPlan`]
+//! describes as a real byte stream across a [`Transport`], in the versioned
+//! [`wire`] format — framed page records with compression mode, run-length
+//! zero pages, per-frame checksums verified before anything touches the
+//! destination, and end-of-round markers. Point the transport at a
+//! [`FabricTransport`] and the same migration pays per-host NIC
+//! serialization, shared-backbone contention and MTU chunk framing
+//! (experiment E17). The protocol is written once, as one phase skeleton
+//! per engine in [`protocol`], over one of two data planes:
 //!
-//! * **direct** (`migrate`, the [`engines`] module) — memory-to-memory copy
-//!   with modelled byte accounting over a [`Link`](rvisor_net::Link); the
-//!   fast path for benchmarks that sweep thousands of migrations.
-//! * **streamed** (`migrate_over`, the [`stream`] module) — the migration
-//!   crosses a [`Transport`] as a real byte stream in the versioned
-//!   [`wire`] format: framed page records with compression mode, run-length
-//!   zero pages, per-frame checksums verified before anything touches the
-//!   destination, and end-of-round markers. Point the transport at a
-//!   [`FabricTransport`] and the same migration pays per-host NIC
-//!   serialization, shared-backbone contention and MTU chunk framing
-//!   (experiment E17).
-//! * **pipelined** (`migrate_pipelined`, the [`pipeline`] module) — the
-//!   same wire stream, produced and consumed concurrently: encode workers
-//!   shard the page-index space into fixed stripes
-//!   ([`MigrationConfig::streams`]) while a dedicated sink thread applies
-//!   segments as they arrive over a bounded channel of recycled buffers.
-//!   Byte-identical and report-`==` to the serial stream; the win is host
-//!   wall-clock overlap on multi-core hosts (experiment E18). See the
-//!   [`pipeline`] module docs for what the fair-share multi-stream network
-//!   model does and does not capture.
+//! * **serial** (one stream, the [`stream`] module) — encode, deliver and
+//!   apply one phase at a time on the calling thread;
+//! * **pipelined** (`streams > 1`, the [`pipeline`] module) — encode workers
+//!   shard the page-index space into fixed stripes while a dedicated sink
+//!   thread applies segments as they arrive over a bounded channel of
+//!   recycled buffers. Byte-identical and report-`==` to the serial plane;
+//!   the win is host wall-clock overlap on multi-core hosts (experiment
+//!   E18). See the [`pipeline`] module docs for what the fair-share
+//!   multi-stream network model does and does not capture.
+//!
+//! The **direct** engines ([`StopAndCopy::migrate`], [`PreCopy::migrate`],
+//! [`PostCopy::migrate`], the [`engines`] module) are the reference: a
+//! memory-to-memory copy with modelled byte accounting over a
+//! [`Link`](rvisor_net::Link), proptest-pinned report-`==` to a loopback
+//! stream, and the fast path for benchmarks that sweep thousands of
+//! migrations.
 //!
 //! ## Which plan do I want?
 //!
 //! [`MigrationConfig`] carries run-level knobs; a [`MigrationPlan`] is the
-//! per-migration decision object that one migration actually executes
+//! per-migration decision object that [`migrate`] executes
 //! (`config.plan(engine)` lowers one into the other). Rules of thumb:
 //!
 //! | Guest | Plan |
@@ -78,6 +82,7 @@ pub mod dirty;
 pub mod engines;
 pub mod pipeline;
 pub mod plan;
+pub mod protocol;
 pub mod report;
 pub mod stream;
 pub mod transport;
@@ -89,9 +94,8 @@ pub use engines::{
     sweep_mean_fault_latency, MigrationConfig, PostCopy, PreCopy, StopAndCopy,
     MAX_MIGRATION_STREAMS,
 };
-pub use plan::{
-    FaultService, MigrationConfigBuilder, MigrationPlan, MigrationPlanBuilder, PlanEngine,
-};
+pub use plan::{FaultService, MigrationPlan, MigrationPlanBuilder, PlanEngine};
+pub use protocol::migrate;
 pub use report::{MigrationKind, MigrationReport, RoundStat};
 pub use stream::{MigrationSink, MigrationSource};
 pub use transport::{FabricTransport, LoopbackTransport, Transport};

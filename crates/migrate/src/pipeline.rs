@@ -1,18 +1,20 @@
-//! Pipelined, multi-stream migration engine.
+//! The pipelined, multi-stream data plane.
 //!
-//! The serial streamed engines in [`stream`](crate::stream) run encode and
-//! decode back to back on one thread: the source encodes a full round, the
-//! sink applies it, repeat. This module overlaps the two halves and shards
+//! The serial plane in [`stream`](crate::stream) runs encode and decode
+//! back to back on one thread: the source encodes a full round, the sink
+//! applies it, repeat. This plane, which [`migrate`](crate::migrate) picks
+//! for plans with more than one stream, overlaps the two halves and shards
 //! the encode work, while staying **byte-identical and
-//! [`MigrationReport`]-`==` to the serial path** (pinned by proptest below):
+//! [`MigrationReport`](crate::MigrationReport)-`==` to the serial plane**
+//! (pinned by proptest below):
 //!
 //! * **Pipelining** — a dedicated sink thread owns the destination-side
 //!   [`MigrationSink`]; the coordinator ships encoded segments to it over a
 //!   bounded `std::sync::mpsc` channel and receives the buffers back on a
 //!   recycle channel, so decode/apply of one segment overlaps encode of the
 //!   next and steady-state rounds reuse the same buffers.
-//! * **Multi-stream scatter** — [`MigrationConfig::streams`] shards the
-//!   page-index space into *fixed* contiguous stripes (`stripe =
+//! * **Multi-stream scatter** — [`MigrationPlan::streams`](crate::MigrationPlan::streams)
+//!   shards the page-index space into *fixed* contiguous stripes (`stripe =
 //!   page / ceil(total_pages / streams)`). One encode worker owns each
 //!   stripe, so a page always travels on the same stream, per-stripe XBZRLE
 //!   caches stay coherent across rounds, and — because stripes are disjoint
@@ -30,7 +32,7 @@
 //! round's per-stripe byte counts are presented to
 //! [`Transport::transmit_striped`], which models N chunk streams *fairly
 //! sharing* the path — on a loopback that is exactly the aggregate burst
-//! (keeping the `==` pin to the serial engine), and on a
+//! (keeping the `==` pin to the serial plane), and on a
 //! [`Fabric`](rvisor_net::Fabric) each stream additionally pays its own MTU
 //! chunk framing, so simulated time is never *better* than serial. What
 //! parallel streams buy is **host wall-clock**: encode and apply overlap
@@ -40,7 +42,7 @@
 //! destination memory and the report are identical either way. One
 //! deliberate divergence: each stripe's XBZRLE cache has the full
 //! configured capacity, so the aggregate cache across N streams is N× the
-//! serial engine's. With cache pressure the parallel engine may therefore
+//! serial plane's. With cache pressure the pipelined plane may therefore
 //! send *fewer* bytes than serial (never more, never wrong bytes); without
 //! eviction — the common case, and every configuration the equivalence
 //! proptests run — the two are bit-identical.
@@ -52,15 +54,11 @@ use std::thread;
 
 use rvisor_memory::GuestMemory;
 use rvisor_obs::{ArgValue, Trace};
-use rvisor_types::{Error, Nanoseconds, Result, PAGE_SIZE};
+use rvisor_types::{Error, Nanoseconds, Result};
 use rvisor_vcpu::VcpuState;
 
 use crate::compress::{PageCompression, PageCompressor, WirePage};
-use crate::dirty::DirtySource;
-use crate::engines::{check_same_size, MigrationConfig, PostCopy, PreCopy, StopAndCopy};
-use crate::engines::{emit_migration_span, emit_round_span, PER_PAGE_OVERHEAD};
-use crate::plan::MigrationPlan;
-use crate::report::{MigrationKind, MigrationReport, RoundStat};
+use crate::protocol::Plane;
 use crate::stream::MigrationSink;
 use crate::transport::Transport;
 use crate::wire;
@@ -258,33 +256,10 @@ impl Pipeline<'_> {
         Ok(())
     }
 
-    /// Encode and ship the stream-opening Hello; returns its wire bytes.
-    fn send_hello(&mut self) -> Result<u64> {
-        let mut buf = self.grab_ctl_buf();
-        wire::put_hello(&mut buf, self.total_pages, self.memory_bytes);
-        self.ship(buf)
-    }
-
-    /// Encode and ship the vCPU state frames; returns their wire bytes.
-    fn send_vcpu_states(&mut self, states: &[VcpuState]) -> Result<u64> {
-        let placeholder = [VcpuState::default()];
-        let states = if states.is_empty() {
-            &placeholder[..]
-        } else {
-            states
-        };
-        let mut buf = self.grab_ctl_buf();
-        for (i, state) in states.iter().enumerate() {
-            wire::put_vcpu_state(&mut buf, i as u32, state);
-        }
-        self.ship(buf)
-    }
-
     /// Encode one round of `pages` (ascending global indices) across the
     /// stripe workers, stitch the boundary zero runs, ship the merged
     /// stream to the sink and terminate it with an end-of-round marker.
-    /// [`Self::stripe_bytes`] afterwards holds the round's per-stream
-    /// payload split.
+    /// `stripe_bytes` afterwards holds the round's per-stream payload split.
     fn encode_round(&mut self, pages: &[u64]) -> Result<()> {
         self.stripe_bytes.fill(0);
         self.dispatched.fill(false);
@@ -371,10 +346,67 @@ impl Pipeline<'_> {
         self.ship(buf)?;
         Ok(())
     }
+}
 
-    /// The per-stream payload split of the round just encoded.
-    fn stripe_bytes(&self) -> &[u64] {
-        &self.stripe_bytes
+impl Plane for Pipeline<'_> {
+    fn hello(&mut self, transport: &mut dyn Transport, now: Nanoseconds) -> Result<Nanoseconds> {
+        let mut buf = self.grab_ctl_buf();
+        wire::put_hello(&mut buf, self.total_pages, self.memory_bytes);
+        let bytes = self.ship(buf)?;
+        transport.transmit_bytes(now, bytes)
+    }
+
+    fn round(
+        &mut self,
+        transport: &mut dyn Transport,
+        pages: &[u64],
+        now: Nanoseconds,
+    ) -> Result<Nanoseconds> {
+        self.encode_round(pages)?;
+        transport.transmit_striped(now, &self.stripe_bytes)
+    }
+
+    fn vcpu_states(
+        &mut self,
+        transport: &mut dyn Transport,
+        states: &[VcpuState],
+        now: Nanoseconds,
+    ) -> Result<Nanoseconds> {
+        let placeholder = [VcpuState::default()];
+        let states = if states.is_empty() {
+            &placeholder[..]
+        } else {
+            states
+        };
+        let mut buf = self.grab_ctl_buf();
+        for (i, state) in states.iter().enumerate() {
+            wire::put_vcpu_state(&mut buf, i as u32, state);
+        }
+        let bytes = self.ship(buf)?;
+        transport.transmit_bytes(now, bytes)
+    }
+
+    /// One instant per active stream on the `migrate/stream` track,
+    /// recording the payload split [`Transport::transmit_striped`] was fed.
+    fn stripe_instants(&self, trace: &Trace, round: u32, at: Nanoseconds) {
+        if !trace.is_on() {
+            return;
+        }
+        for (stream, &bytes) in self.stripe_bytes.iter().enumerate() {
+            if bytes == 0 {
+                continue;
+            }
+            trace.instant(
+                "migrate/stream",
+                "stripe",
+                at,
+                &[
+                    ("round", ArgValue::U64(u64::from(round))),
+                    ("stream", ArgValue::U64(stream as u64)),
+                    ("bytes", ArgValue::U64(bytes)),
+                ],
+            );
+        }
     }
 }
 
@@ -391,13 +423,13 @@ impl Pipeline<'_> {
 /// the same sequence of compress calls — and produces byte-identical frames
 /// — for any worker count (pinned by test). The knob trades host wall-clock
 /// only.
-fn with_pipeline<R>(
+pub(crate) fn with_pipeline<R>(
     source: &GuestMemory,
     dest: &GuestMemory,
     compression: Option<(PageCompression, usize)>,
     streams: NonZeroUsize,
     compressors: NonZeroUsize,
-    f: impl FnOnce(&mut Pipeline<'_>) -> Result<R>,
+    f: impl FnOnce(&mut dyn Plane) -> Result<R>,
 ) -> Result<R> {
     let streams = streams.get();
     // More workers than stripes cannot help: stripes are the unit of work.
@@ -488,375 +520,22 @@ fn with_pipeline<R>(
     })
 }
 
-/// The compression setup the pipeline's workers should mirror (`None` when
-/// pages go raw).
-fn compression_of(config: &MigrationConfig) -> Option<(PageCompression, usize)> {
-    match config.compression {
-        PageCompression::None => None,
-        mode => Some((mode, config.xbzrle_cache_pages)),
-    }
-}
-
-/// One instant per active stream on the `migrate/stream` track, recording
-/// the payload split [`Pipeline::stripe_bytes`] fed to
-/// [`Transport::transmit_striped`] for the round just encoded.
-fn emit_stripe_instants(trace: &Trace, round: u32, at: Nanoseconds, stripes: &[u64]) {
-    if !trace.is_on() {
-        return;
-    }
-    for (stream, &bytes) in stripes.iter().enumerate() {
-        if bytes == 0 {
-            continue;
-        }
-        trace.instant(
-            "migrate/stream",
-            "stripe",
-            at,
-            &[
-                ("round", ArgValue::U64(u64::from(round))),
-                ("stream", ArgValue::U64(stream as u64)),
-                ("bytes", ArgValue::U64(bytes)),
-            ],
-        );
-    }
-}
-
-impl StopAndCopy {
-    /// Run a stop-and-copy migration through the pipelined, multi-stream
-    /// data plane. Byte-identical and report-`==` to
-    /// [`StopAndCopy::migrate_over`] on the same transport.
-    pub fn migrate_pipelined(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_pipelined_traced(source, dest, vcpus, transport, config, &Trace::off())
-    }
-
-    /// [`StopAndCopy::migrate_pipelined`] with trace spans emitted to
-    /// `trace`; with [`Trace::off`] the two are identical.
-    pub fn migrate_pipelined_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        with_pipeline(source, dest, None, config.streams, config.streams, |p| {
-            let hello = p.send_hello()?;
-            let after_hello = transport.transmit_bytes(start, hello)?;
-            let all_pages: Vec<u64> = (0..source.total_pages()).collect();
-            p.encode_round(&all_pages)?;
-            let round_bytes_before = transport.bytes_sent();
-            let after_pages = transport.transmit_striped(after_hello, p.stripe_bytes())?;
-            let round = RoundStat {
-                pages: all_pages.len() as u64,
-                bytes: transport.bytes_sent() - round_bytes_before,
-                duration: after_pages.saturating_sub(after_hello),
-            };
-            emit_round_span(trace, "round", 1, round, after_hello, after_pages);
-            emit_stripe_instants(trace, 1, after_pages, p.stripe_bytes());
-            let state = p.send_vcpu_states(vcpus)?;
-            let done = transport.transmit_bytes(after_pages, state)?;
-            let elapsed = done.saturating_sub(start);
-            let report = MigrationReport {
-                kind: MigrationKind::StopAndCopy,
-                downtime: elapsed,
-                total_time: elapsed,
-                rounds: 1,
-                bytes_transferred: transport.bytes_sent() - bytes_before,
-                pages_transferred: all_pages.len() as u64,
-                memory_size: source.total_size(),
-                converged: true,
-                remote_faults: 0,
-                avg_fault_latency: Nanoseconds::ZERO,
-                rounds_breakdown: vec![round],
-            };
-            emit_migration_span(trace, &report, start, done, None);
-            Ok(report)
-        })
-    }
-}
-
-impl PreCopy {
-    /// Run an iterative pre-copy migration through the pipelined,
-    /// multi-stream data plane while `dirty_source` keeps writing into the
-    /// source. Byte-identical and report-`==` to [`PreCopy::migrate_over`]
-    /// on the same transport (see the module docs for the one documented
-    /// divergence under XBZRLE cache pressure).
-    pub fn migrate_pipelined(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_pipelined_traced(
-            source,
-            dest,
-            vcpus,
-            transport,
-            dirty_source,
-            config,
-            &Trace::off(),
-        )
-    }
-
-    /// [`PreCopy::migrate_pipelined`] with trace spans emitted to `trace`;
-    /// with [`Trace::off`] the two are identical.
-    #[allow(clippy::too_many_arguments)]
-    pub fn migrate_pipelined_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        Self::pipelined_with_compressors(
-            source,
-            dest,
-            vcpus,
-            transport,
-            dirty_source,
-            config,
-            config.streams,
-            trace,
-        )
-    }
-
-    /// [`PreCopy::migrate_pipelined_traced`] shaped by a per-migration
-    /// [`MigrationPlan`]: stream count, compression mode and the decoupled
-    /// compression-stage worker count
-    /// ([`MigrationPlan::compressor_workers`]) all come from the plan. The
-    /// wire bytes, the destination memory and the report are identical for
-    /// any compressor-worker count (pinned by test); the knob trades host
-    /// wall-clock only.
-    pub fn migrate_pipelined_planned_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        plan: &MigrationPlan,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        plan.validate()?;
-        Self::pipelined_with_compressors(
-            source,
-            dest,
-            vcpus,
-            transport,
-            dirty_source,
-            &plan.config(),
-            plan.compressor_workers(),
-            trace,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn pipelined_with_compressors(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
-        compressors: NonZeroUsize,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        with_pipeline(
-            source,
-            dest,
-            compression_of(config),
-            config.streams,
-            compressors,
-            |p| {
-                let hello = p.send_hello()?;
-                let mut now = transport.transmit_bytes(start, hello)?;
-
-                let mut total_pages = 0u64;
-                let mut rounds = 0u32;
-                let mut converged = false;
-                let mut breakdown: Vec<RoundStat> =
-                    Vec::with_capacity(config.max_rounds as usize + 1);
-
-                source.clear_dirty();
-                let mut to_send: Vec<u64> = (0..source.total_pages()).collect();
-                let mut harvest: Vec<u64> = Vec::new();
-
-                loop {
-                    rounds += 1;
-                    let round_start = now;
-                    p.encode_round(&to_send)?;
-                    let round_bytes_before = transport.bytes_sent();
-                    let done = transport.transmit_striped(now, p.stripe_bytes())?;
-                    total_pages += to_send.len() as u64;
-                    let round_duration = done.saturating_sub(round_start);
-                    let stat = RoundStat {
-                        pages: to_send.len() as u64,
-                        bytes: transport.bytes_sent() - round_bytes_before,
-                        duration: round_duration,
-                    };
-                    breakdown.push(stat);
-                    emit_round_span(trace, "round", rounds, stat, round_start, done);
-                    emit_stripe_instants(trace, rounds, done, p.stripe_bytes());
-                    dirty_source.run_for(source, round_duration)?;
-                    now = done;
-
-                    source.drain_dirty_into(&mut harvest);
-                    std::mem::swap(&mut to_send, &mut harvest);
-                    if to_send.len() as u64 <= config.dirty_page_threshold {
-                        converged = true;
-                        break;
-                    }
-                    if rounds >= config.max_rounds {
-                        break;
-                    }
-                }
-
-                let pause_start = now;
-                p.encode_round(&to_send)?;
-                let stop_bytes_before = transport.bytes_sent();
-                let after_residual = transport.transmit_striped(now, p.stripe_bytes())?;
-                total_pages += to_send.len() as u64;
-                let stop_stat = RoundStat {
-                    pages: to_send.len() as u64,
-                    bytes: transport.bytes_sent() - stop_bytes_before,
-                    duration: after_residual.saturating_sub(pause_start),
-                };
-                breakdown.push(stop_stat);
-                emit_round_span(
-                    trace,
-                    "stop-phase",
-                    rounds + 1,
-                    stop_stat,
-                    pause_start,
-                    after_residual,
-                );
-                emit_stripe_instants(trace, rounds + 1, after_residual, p.stripe_bytes());
-                let state = p.send_vcpu_states(vcpus)?;
-                let done = transport.transmit_bytes(after_residual, state)?;
-
-                let report = MigrationReport {
-                    kind: MigrationKind::PreCopy,
-                    downtime: done.saturating_sub(pause_start),
-                    total_time: done.saturating_sub(start),
-                    rounds,
-                    bytes_transferred: transport.bytes_sent() - bytes_before,
-                    pages_transferred: total_pages,
-                    memory_size: source.total_size(),
-                    converged,
-                    remote_faults: 0,
-                    avg_fault_latency: Nanoseconds::ZERO,
-                    rounds_breakdown: breakdown,
-                };
-                // Per-stripe workers own their compressors, so no aggregate
-                // compression stats are available on this path.
-                emit_migration_span(trace, &report, start, done, None);
-                Ok(report)
-            },
-        )
-    }
-}
-
-impl PostCopy {
-    /// Run a post-copy migration through the pipelined, multi-stream data
-    /// plane. Byte-identical and report-`==` to
-    /// [`PostCopy::migrate_over`] on the same transport.
-    pub fn migrate_pipelined(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_pipelined_traced(source, dest, vcpus, transport, config, &Trace::off())
-    }
-
-    /// [`PostCopy::migrate_pipelined`] with trace spans emitted to `trace`;
-    /// with [`Trace::off`] the two are identical.
-    pub fn migrate_pipelined_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        with_pipeline(source, dest, None, config.streams, config.streams, |p| {
-            let hello = p.send_hello()?;
-            let after_hello = transport.transmit_bytes(start, hello)?;
-
-            // Pause: only the vCPU/device state crosses before resume.
-            let state = p.send_vcpu_states(vcpus)?;
-            let resumed_at = transport.transmit_bytes(after_hello, state)?;
-            let downtime = resumed_at.saturating_sub(after_hello);
-
-            let total_pages = source.total_pages();
-            let fault_pages =
-                ((total_pages as f64) * config.postcopy_fault_fraction).round() as u64;
-            let fault_pages = fault_pages.min(total_pages);
-
-            let all_pages: Vec<u64> = (0..total_pages).collect();
-            p.encode_round(&all_pages)?;
-            let round_bytes_before = transport.bytes_sent();
-            let after_pages = transport.transmit_striped(resumed_at, p.stripe_bytes())?;
-            let round = RoundStat {
-                pages: total_pages,
-                bytes: transport.bytes_sent() - round_bytes_before,
-                duration: after_pages.saturating_sub(resumed_at),
-            };
-            emit_round_span(trace, "round", 1, round, resumed_at, after_pages);
-            emit_stripe_instants(trace, 1, after_pages, p.stripe_bytes());
-
-            let per_fault_latency = transport.transfer_time(PAGE_SIZE + PER_PAGE_OVERHEAD);
-            let fault_penalty = Nanoseconds(transport.latency().as_nanos() * fault_pages);
-            let done = after_pages.saturating_add(fault_penalty);
-
-            let report = MigrationReport {
-                kind: MigrationKind::PostCopy,
-                downtime,
-                total_time: done.saturating_sub(start),
-                rounds: 1,
-                bytes_transferred: transport.bytes_sent() - bytes_before,
-                pages_transferred: total_pages,
-                memory_size: source.total_size(),
-                converged: true,
-                remote_faults: fault_pages,
-                avg_fault_latency: per_fault_latency.saturating_add(transport.latency()),
-                rounds_breakdown: vec![round],
-            };
-            emit_migration_span(trace, &report, start, done, None);
-            Ok(report)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dirty::{ConstantRateDirtier, IdleDirtier};
+    use crate::dirty::{ConstantRateDirtier, DirtySource, IdleDirtier};
+    use crate::engines::{MigrationConfig, MAX_MIGRATION_STREAMS};
+    use crate::plan::{MigrationPlan, PlanEngine};
+    use crate::report::{MigrationKind, MigrationReport, RoundStat};
     use crate::transport::{FabricTransport, LoopbackTransport};
     use rvisor_net::{Fabric, FabricParams, Link, LinkModel};
-    use rvisor_types::{ByteSize, GuestAddress};
+    use rvisor_types::{ByteSize, GuestAddress, PAGE_SIZE};
+
+    const ENGINES: [PlanEngine; 3] = [
+        PlanEngine::StopAndCopy,
+        PlanEngine::PreCopy,
+        PlanEngine::PostCopy,
+    ];
 
     fn streams(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).expect("non-zero")
@@ -884,34 +563,23 @@ mod tests {
         out
     }
 
-    fn serial_report(
-        engine: usize,
-        pages: u64,
-        dirty_fraction: f64,
-        config: &MigrationConfig,
-    ) -> (MigrationReport, Vec<u8>) {
-        let (src, dst) = memories(pages);
-        let mut link = Link::new(LinkModel::gigabit());
-        let mut transport = LoopbackTransport::new(&mut link);
+    /// One migration through the plan-driven entry point, tracing off:
+    /// serial for a one-stream plan, pipelined otherwise.
+    fn run_plan(
+        src: &GuestMemory,
+        dst: &GuestMemory,
+        transport: &mut dyn Transport,
+        dirtier: &mut dyn DirtySource,
+        plan: &MigrationPlan,
+    ) -> Result<MigrationReport> {
         let vcpus = [VcpuState::default()];
-        let report = match engine {
-            0 => StopAndCopy::migrate_over(&src, &dst, &vcpus, &mut transport).unwrap(),
-            1 => {
-                let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                    LinkModel::gigabit().bytes_per_second,
-                    dirty_fraction,
-                    0,
-                    pages,
-                );
-                PreCopy::migrate_over(&src, &dst, &vcpus, &mut transport, &mut dirtier, config)
-                    .unwrap()
-            }
-            _ => PostCopy::migrate_over(&src, &dst, &vcpus, &mut transport, config).unwrap(),
-        };
-        (report, region_bytes(&dst))
+        crate::migrate(src, dst, &vcpus, transport, dirtier, plan, &Trace::off())
     }
 
-    fn pipelined_report(
+    /// `engine` (an index into [`ENGINES`]) over a gigabit loopback while the
+    /// guest dirties `dirty_fraction` of the link bandwidth, shaped by
+    /// `config`.
+    fn report_for(
         engine: usize,
         pages: u64,
         dirty_fraction: f64,
@@ -920,36 +588,27 @@ mod tests {
         let (src, dst) = memories(pages);
         let mut link = Link::new(LinkModel::gigabit());
         let mut transport = LoopbackTransport::new(&mut link);
-        let vcpus = [VcpuState::default()];
-        let report = match engine {
-            0 => {
-                StopAndCopy::migrate_pipelined(&src, &dst, &vcpus, &mut transport, config).unwrap()
-            }
-            1 => {
-                let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                    LinkModel::gigabit().bytes_per_second,
-                    dirty_fraction,
-                    0,
-                    pages,
-                );
-                PreCopy::migrate_pipelined(&src, &dst, &vcpus, &mut transport, &mut dirtier, config)
-                    .unwrap()
-            }
-            _ => PostCopy::migrate_pipelined(&src, &dst, &vcpus, &mut transport, config).unwrap(),
-        };
+        let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
+            LinkModel::gigabit().bytes_per_second,
+            dirty_fraction,
+            0,
+            pages,
+        );
+        let plan = config.plan(ENGINES[engine]);
+        let report = run_plan(&src, &dst, &mut transport, &mut dirtier, &plan).unwrap();
         (report, region_bytes(&dst))
     }
 
     #[test]
     fn pipelined_matches_serial_for_every_engine_and_stream_count() {
         for engine in 0..3usize {
-            let (serial, serial_mem) = serial_report(engine, 256, 0.4, &MigrationConfig::default());
-            for n in [1usize, 2, 3, 4, 7] {
+            let (serial, serial_mem) = report_for(engine, 256, 0.4, &MigrationConfig::default());
+            for n in [2usize, 3, 4, 7] {
                 let config = MigrationConfig {
                     streams: streams(n),
                     ..Default::default()
                 };
-                let (pipelined, pipelined_mem) = pipelined_report(engine, 256, 0.4, &config);
+                let (pipelined, pipelined_mem) = report_for(engine, 256, 0.4, &config);
                 assert_eq!(pipelined, serial, "engine {engine} at {n} streams");
                 assert_eq!(
                     pipelined_mem, serial_mem,
@@ -966,40 +625,17 @@ mod tests {
         // re-coalesced to the identical frame (equal bytes proves it:
         // split runs would cost 3 extra frame headers).
         let pages = 256u64;
-        let config = MigrationConfig {
-            compression: PageCompression::ZeroPages,
-            ..Default::default()
-        };
         let run = |n: usize| {
             let src = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
             let dst = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
             let mut link = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
-            let config = MigrationConfig {
+            let plan = MigrationPlan {
                 streams: streams(n),
-                ..config
+                compression: PageCompression::ZeroPages,
+                ..Default::default()
             };
-            if n == 1 {
-                PreCopy::migrate_over(
-                    &src,
-                    &dst,
-                    &[VcpuState::default()],
-                    &mut transport,
-                    &mut IdleDirtier,
-                    &config,
-                )
-                .unwrap()
-            } else {
-                PreCopy::migrate_pipelined(
-                    &src,
-                    &dst,
-                    &[VcpuState::default()],
-                    &mut transport,
-                    &mut IdleDirtier,
-                    &config,
-                )
-                .unwrap()
-            }
+            run_plan(&src, &dst, &mut transport, &mut IdleDirtier, &plan).unwrap()
         };
         let serial = run(1);
         for n in [2usize, 4, 8] {
@@ -1014,19 +650,11 @@ mod tests {
             let (src, dst) = memories(pages);
             let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
             let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
-            let config = MigrationConfig {
+            let plan = MigrationPlan {
                 streams: streams(n),
                 ..Default::default()
             };
-            let report = PreCopy::migrate_pipelined(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut IdleDirtier,
-                &config,
-            )
-            .unwrap();
+            let report = run_plan(&src, &dst, &mut transport, &mut IdleDirtier, &plan).unwrap();
             (report, region_bytes(&dst))
         };
         let (serial, serial_mem) = run(1);
@@ -1047,26 +675,23 @@ mod tests {
         let (src, dst) = memories(8);
         let mut link = Link::new(LinkModel::gigabit());
         let mut transport = LoopbackTransport::new(&mut link);
-        let config = MigrationConfig {
-            streams: streams(crate::engines::MAX_MIGRATION_STREAMS + 1),
+        let too_many = MigrationPlan {
+            engine: PlanEngine::StopAndCopy,
+            streams: streams(MAX_MIGRATION_STREAMS + 1),
             ..Default::default()
         };
-        assert!(StopAndCopy::migrate_pipelined(&src, &dst, &[], &mut transport, &config).is_err());
+        assert!(run_plan(&src, &dst, &mut transport, &mut IdleDirtier, &too_many).is_err());
         let small = GuestMemory::flat(ByteSize::pages_of(2)).unwrap();
-        assert!(PostCopy::migrate_pipelined(
-            &src,
-            &small,
-            &[],
-            &mut transport,
-            &MigrationConfig::default()
-        )
-        .is_err());
+        let post_copy = MigrationPlan {
+            engine: PlanEngine::PostCopy,
+            streams: streams(2),
+            ..Default::default()
+        };
+        assert!(run_plan(&src, &small, &mut transport, &mut IdleDirtier, &post_copy).is_err());
     }
 
     #[test]
     fn compressor_worker_count_never_changes_the_bytes() {
-        use crate::plan::{MigrationPlan, PlanEngine};
-
         // The compression stage is decoupled from the stripe workers; any
         // compressor-worker count must produce the identical report and
         // destination memory (per-stripe compressor state is preserved no
@@ -1090,16 +715,7 @@ mod tests {
                     builder = builder.compressors(streams(c));
                 }
                 let plan = builder.build().unwrap();
-                let report = PreCopy::migrate_pipelined_planned_traced(
-                    &src,
-                    &dst,
-                    &[VcpuState::default()],
-                    &mut transport,
-                    &mut dirtier,
-                    &plan,
-                    &Trace::off(),
-                )
-                .unwrap();
+                let report = run_plan(&src, &dst, &mut transport, &mut dirtier, &plan).unwrap();
                 (report, region_bytes(&dst))
             };
             let (base, base_mem) = run(None);
@@ -1108,34 +724,73 @@ mod tests {
                 assert_eq!(report, base, "{compression:?} with {c} compressors");
                 assert_eq!(mem, base_mem, "{compression:?} with {c} compressors");
             }
-            // The plan-routed entry with default compressors matches the
-            // config-routed entry exactly.
+        }
+    }
+
+    /// Under XBZRLE cache pressure the pipelined plane is the one
+    /// documented divergence from the serial plane, so no reference engine
+    /// covers it: its report is pinned to the literal the pre-refactor
+    /// pipelined pre-copy produced. Each of the 4 stripes caches its whole
+    /// 64-page stripe, so the dirtied pages come back as deltas; the serial
+    /// plane's single 64-page cache thrashes and resends them raw.
+    #[test]
+    fn xbzrle_cache_pressure_report_is_golden() {
+        let pages = 256u64;
+        let run = |n: usize| {
             let (src, dst) = memories(pages);
             let mut link = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
             let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
                 LinkModel::gigabit().bytes_per_second,
-                0.4,
+                0.6,
                 0,
                 pages,
             );
-            let config = MigrationConfig {
-                streams: streams(6),
-                compression,
+            let plan = MigrationPlan {
+                streams: streams(n),
+                compression: PageCompression::Xbzrle,
+                xbzrle_cache_pages: 64,
+                max_rounds: 8,
+                dirty_page_threshold: 4,
                 ..Default::default()
             };
-            let direct = PreCopy::migrate_pipelined(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut dirtier,
-                &config,
-            )
-            .unwrap();
-            assert_eq!(direct, base, "{compression:?}: plan routing diverged");
-            assert_eq!(region_bytes(&dst), base_mem);
-        }
+            let report = run_plan(&src, &dst, &mut transport, &mut dirtier, &plan).unwrap();
+            assert_eq!(region_bytes(&dst), region_bytes(&src), "{n} streams");
+            report
+        };
+        let golden = MigrationReport {
+            kind: MigrationKind::PreCopy,
+            downtime: Nanoseconds(433_600),
+            total_time: Nanoseconds(4_702_824),
+            rounds: 2,
+            bytes_transferred: 462_853,
+            pages_transferred: 330,
+            memory_size: ByteSize(1_048_576),
+            converged: true,
+            remote_faults: 0,
+            avg_fault_latency: Nanoseconds::ZERO,
+            rounds_breakdown: vec![
+                RoundStat {
+                    pages: 256,
+                    bytes: 457_120,
+                    duration: Nanoseconds(3_856_960),
+                },
+                RoundStat {
+                    pages: 70,
+                    bytes: 1_499,
+                    duration: Nanoseconds(211_992),
+                },
+                RoundStat {
+                    pages: 4,
+                    bytes: 104,
+                    duration: Nanoseconds(200_832),
+                },
+            ],
+        };
+        assert_eq!(run(4), golden);
+        let serial = run(1);
+        assert_eq!(serial.bytes_transferred, 1_382_466);
+        assert!(serial.bytes_transferred > golden.bytes_transferred);
     }
 
     mod properties {
@@ -1145,8 +800,8 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(8))]
 
-            /// The pipelined multi-stream engine is byte-identical and
-            /// `MigrationReport`-equal to the serial streamed path (and so,
+            /// The pipelined plane is byte-identical and
+            /// `MigrationReport`-equal to the serial plane (and so,
             /// transitively, to the direct in-memory engines) for all three
             /// engines, any stream count, with and without compression.
             #[test]
@@ -1154,7 +809,7 @@ mod tests {
                 engine in 0usize..3,
                 pages in 32u64..160,
                 dirty_fraction_pct in 0u64..120,
-                n_streams in 1usize..6,
+                n_streams in 2usize..7,
                 mode_idx in 0usize..3,
             ) {
                 let serial_config = MigrationConfig {
@@ -1169,9 +824,9 @@ mod tests {
                 };
                 let fraction = dirty_fraction_pct as f64 / 100.0;
                 let (serial, serial_mem) =
-                    serial_report(engine, pages, fraction, &serial_config);
+                    report_for(engine, pages, fraction, &serial_config);
                 let (pipelined, pipelined_mem) =
-                    pipelined_report(engine, pages, fraction, &pipelined_config);
+                    report_for(engine, pages, fraction, &pipelined_config);
                 prop_assert_eq!(pipelined, serial);
                 prop_assert_eq!(pipelined_mem, serial_mem);
             }

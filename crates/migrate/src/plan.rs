@@ -1,19 +1,18 @@
-//! Per-migration decision objects: [`MigrationPlan`] and the validating
-//! builders for it and [`MigrationConfig`].
+//! Per-migration decision objects: [`MigrationPlan`] and its validating
+//! builder.
 //!
-//! [`MigrationConfig`] is a *run-level* knob set: one engine choice, one
-//! stream count, one compression mode applied to every migration a caller
-//! starts. A [`MigrationPlan`] is the *per-migration* decision an adaptive
-//! control plane makes: which engine this particular VM rides, how many
-//! streams it gets, how its demand faults are serviced. The config [lowers
-//! into a plan](MigrationConfig::plan) (so every existing entry point keeps
-//! compiling and behaving identically), and a plan [lowers back into a
-//! config](MigrationPlan::config) where the engine signatures want one.
+//! [`MigrationConfig`] is a *run-level* knob set: one stream count, one
+//! compression mode applied to every migration a caller starts. A
+//! [`MigrationPlan`] is the *per-migration* decision an adaptive control
+//! plane makes: which engine this particular VM rides, how many streams it
+//! gets, how its demand faults are serviced. [`migrate`](crate::migrate)
+//! executes a plan; a config [lowers into one](MigrationConfig::plan) for a
+//! chosen engine, and a plan [lowers back into a
+//! config](MigrationPlan::config) for the direct engines.
 //!
-//! Both types get a validating builder: `builder().streams(4).build()` runs
-//! [`MigrationConfig::validate`] exactly once, so a caller can no longer
-//! construct a silently-invalid knob set without going out of its way (the
-//! plain struct fields stay public for backward compatibility).
+//! [`MigrationPlan::builder`] runs [`MigrationPlan::validate`] once on
+//! `build()`; plans assembled from the public fields are validated by
+//! [`migrate`](crate::migrate) on entry instead.
 
 use std::num::NonZeroUsize;
 
@@ -60,8 +59,8 @@ pub enum FaultService {
     Sweep,
     /// Faulted pages ride a dedicated stream that overtakes the background
     /// sweep: they are encoded and delivered *first*, and no per-fault
-    /// serialization penalty accrues
-    /// ([`PostCopy::migrate_fault_lane_over`](crate::PostCopy::migrate_fault_lane_over)).
+    /// serialization penalty accrues. The lane is the second stream, so
+    /// [`migrate`](crate::migrate) always runs it on the serial data plane.
     FaultLane,
 }
 
@@ -93,7 +92,7 @@ pub struct MigrationPlan {
     /// Which engine this migration rides.
     pub engine: PlanEngine,
     /// Parallel streams for the pipelined data plane (at most
-    /// [`MAX_MIGRATION_STREAMS`]); 1 selects the serial streamed engines.
+    /// [`MAX_MIGRATION_STREAMS`]); 1 selects the serial data plane.
     pub streams: NonZeroUsize,
     /// Page compression crossing the wire.
     pub compression: PageCompression,
@@ -133,8 +132,8 @@ impl MigrationPlan {
         }
     }
 
-    /// Lower the plan into the run-level knob set the engine entry points
-    /// take. The engine choice and fault-service policy do not survive the
+    /// Lower the plan into the run-level knob set the direct engines take.
+    /// The engine choice and fault-service policy do not survive the
     /// lowering — they are dispatch, not knobs.
     pub fn config(&self) -> MigrationConfig {
         MigrationConfig {
@@ -169,14 +168,6 @@ impl MigrationPlan {
 }
 
 impl MigrationConfig {
-    /// A validating builder seeded with [`MigrationConfig::default`].
-    pub fn builder() -> MigrationConfigBuilder {
-        MigrationConfigBuilder {
-            config: MigrationConfig::default(),
-            streams: 1,
-        }
-    }
-
     /// Lower this run-level config into a per-migration plan riding
     /// `engine`. Plan-only knobs take their defaults (sweep-ordered fault
     /// service, compressors matching the stream count), so a lowered plan
@@ -193,65 +184,6 @@ impl MigrationConfig {
             dirty_page_threshold: self.dirty_page_threshold,
             postcopy_fault_fraction: self.postcopy_fault_fraction,
         }
-    }
-}
-
-/// Builder for [`MigrationConfig`]; [`build`](Self::build) runs
-/// [`MigrationConfig::validate`] once.
-#[derive(Debug, Clone)]
-pub struct MigrationConfigBuilder {
-    config: MigrationConfig,
-    streams: usize,
-}
-
-impl MigrationConfigBuilder {
-    /// Set [`MigrationConfig::max_rounds`].
-    pub fn max_rounds(mut self, rounds: u32) -> Self {
-        self.config.max_rounds = rounds;
-        self
-    }
-
-    /// Set [`MigrationConfig::dirty_page_threshold`].
-    pub fn dirty_page_threshold(mut self, pages: u64) -> Self {
-        self.config.dirty_page_threshold = pages;
-        self
-    }
-
-    /// Set [`MigrationConfig::postcopy_fault_fraction`].
-    pub fn postcopy_fault_fraction(mut self, fraction: f64) -> Self {
-        self.config.postcopy_fault_fraction = fraction;
-        self
-    }
-
-    /// Set [`MigrationConfig::compression`].
-    pub fn compression(mut self, compression: PageCompression) -> Self {
-        self.config.compression = compression;
-        self
-    }
-
-    /// Set [`MigrationConfig::xbzrle_cache_pages`].
-    pub fn xbzrle_cache_pages(mut self, pages: usize) -> Self {
-        self.config.xbzrle_cache_pages = pages;
-        self
-    }
-
-    /// Set [`MigrationConfig::streams`] (zero is rejected by
-    /// [`build`](Self::build), like every other invalid knob).
-    pub fn streams(mut self, streams: usize) -> Self {
-        self.streams = streams;
-        self
-    }
-
-    /// Validate and return the config.
-    pub fn build(self) -> Result<MigrationConfig> {
-        let MigrationConfigBuilder {
-            mut config,
-            streams,
-        } = self;
-        config.streams = NonZeroUsize::new(streams)
-            .ok_or_else(|| Error::Migration("streams must be at least 1".into()))?;
-        config.validate()?;
-        Ok(config)
     }
 }
 
@@ -351,36 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn config_builder_validates_once_and_rejects_bad_knobs() {
-        let config = MigrationConfig::builder()
-            .streams(4)
-            .compression(PageCompression::Xbzrle)
-            .xbzrle_cache_pages(128)
-            .max_rounds(9)
-            .dirty_page_threshold(16)
-            .postcopy_fault_fraction(0.25)
-            .build()
-            .unwrap();
-        assert_eq!(config.streams.get(), 4);
-        assert_eq!(config.max_rounds, 9);
-        assert!(MigrationConfig::builder().streams(0).build().is_err());
-        assert!(MigrationConfig::builder()
-            .streams(MAX_MIGRATION_STREAMS + 1)
-            .build()
-            .is_err());
-        assert!(MigrationConfig::builder()
-            .postcopy_fault_fraction(1.5)
-            .build()
-            .is_err());
-        assert!(MigrationConfig::builder()
-            .compression(PageCompression::Xbzrle)
-            .xbzrle_cache_pages(0)
-            .build()
-            .is_err());
-        assert!(MigrationConfig::builder().max_rounds(0).build().is_err());
-    }
-
-    #[test]
     fn plan_builder_validates_once_and_rejects_bad_knobs() {
         let plan = MigrationPlan::builder(PlanEngine::PostCopy)
             .streams(NonZeroUsize::new(2).unwrap())
@@ -392,18 +294,26 @@ mod tests {
         assert_eq!(plan.engine, PlanEngine::PostCopy);
         assert_eq!(plan.fault_service, FaultService::FaultLane);
         assert_eq!(plan.compressor_workers().get(), 8);
-        assert!(MigrationPlan::builder(PlanEngine::PreCopy)
-            .postcopy_fault_fraction(-0.1)
-            .build()
-            .is_err());
-        assert!(MigrationPlan::builder(PlanEngine::PreCopy)
-            .compressors(NonZeroUsize::new(MAX_MIGRATION_STREAMS + 1).unwrap())
-            .build()
-            .is_err());
-        assert!(MigrationPlan::builder(PlanEngine::PreCopy)
-            .max_rounds(0)
-            .build()
-            .is_err());
+        // Every knob `MigrationConfig::validate` guards, plus the plan-only
+        // compressor bound.
+        let too_many = NonZeroUsize::new(MAX_MIGRATION_STREAMS + 1).unwrap();
+        let rejected = [
+            MigrationPlan::builder(PlanEngine::PreCopy).postcopy_fault_fraction(-0.1),
+            MigrationPlan::builder(PlanEngine::PreCopy).postcopy_fault_fraction(1.5),
+            MigrationPlan::builder(PlanEngine::PreCopy).postcopy_fault_fraction(f64::NAN),
+            MigrationPlan::builder(PlanEngine::PreCopy).compressors(too_many),
+            MigrationPlan::builder(PlanEngine::PreCopy).streams(too_many),
+            MigrationPlan::builder(PlanEngine::PreCopy).max_rounds(0),
+            MigrationPlan::builder(PlanEngine::PreCopy)
+                .compression(PageCompression::Xbzrle)
+                .xbzrle_cache_pages(0),
+        ];
+        for builder in rejected {
+            assert!(
+                builder.clone().build().is_err(),
+                "{builder:?} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Streaming migration: the engines split into a source-side encoder and a
-//! destination-side sink connected by a [`Transport`].
+//! Streaming migration: the source-side encoder and destination-side sink
+//! connected by a [`Transport`], and the serial data plane built from them.
 //!
 //! The direct engines in [`engines`](crate::engines) copy memory to memory
 //! and merely *account* bytes. This module moves the same migrations as a
@@ -10,24 +10,25 @@
 //! verifying every frame checksum before anything touches guest memory —
 //! and applies pages in place on the destination.
 //!
-//! For a [`LoopbackTransport`](crate::transport::LoopbackTransport) the
-//! streamed engines produce **`==`-equal [`MigrationReport`]s and
-//! byte-identical destination memory** versus the direct engines (pinned by
-//! proptest below) — the wire protocol is free at equal modelled bandwidth.
-//! Over a [`FabricTransport`](crate::transport::FabricTransport) the same
-//! stream pays NIC serialization, backbone contention and MTU chunk
-//! framing, which is where wire migration earns its keep (experiment E17).
+//! [`migrate`](crate::migrate) drives the pair one phase at a time when a
+//! plan asks for a single stream. Over a
+//! [`LoopbackTransport`](crate::transport::LoopbackTransport) the streamed
+//! migration produces **`==`-equal
+//! [`MigrationReport`](crate::MigrationReport)s and byte-identical
+//! destination memory** versus the direct engines (pinned by proptest
+//! below): the wire protocol is free at equal modelled bandwidth. Over a
+//! [`FabricTransport`](crate::transport::FabricTransport) the same stream
+//! pays NIC serialization, backbone contention and MTU chunk framing, which
+//! is where wire migration earns its keep (experiment E17).
 
 use rvisor_memory::GuestMemory;
-use rvisor_obs::Trace;
 use rvisor_types::{Error, Nanoseconds, Result, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
 
-use crate::compress::{xbzrle_apply_in_place, PageCompression, PageCompressor, WirePage};
-use crate::dirty::DirtySource;
-use crate::engines::{check_same_size, MigrationConfig, PostCopy, PreCopy, StopAndCopy};
-use crate::engines::{emit_migration_span, emit_round_span, PER_PAGE_OVERHEAD};
-use crate::report::{MigrationKind, MigrationReport, RoundStat};
+use crate::compress::{
+    xbzrle_apply_in_place, CompressionStats, PageCompression, PageCompressor, WirePage,
+};
+use crate::protocol::Plane;
 use crate::transport::Transport;
 use crate::wire::{self, FrameKind, WireFrame, MODE_DELTA, MODE_RAW, MODE_ZERO};
 
@@ -48,25 +49,19 @@ pub struct MigrationSource<'m> {
 impl<'m> MigrationSource<'m> {
     /// An encoder sending every page raw (stop-and-copy / post-copy).
     pub fn raw(memory: &'m GuestMemory) -> Self {
-        MigrationSource {
-            memory,
-            compressor: None,
-            round: 0,
-        }
+        Self::new(memory, None)
     }
 
-    /// An encoder honouring the configured page compression.
-    pub fn with_config(memory: &'m GuestMemory, config: &MigrationConfig) -> Self {
-        let compressor = match config.compression {
-            PageCompression::None => None,
-            mode => Some(PageCompressor::with_cache_capacity(
-                mode,
-                config.xbzrle_cache_pages,
-            )),
-        };
+    /// An encoder compressing pages with `(mode, XBZRLE cache pages)`, or
+    /// sending them raw for `None`.
+    pub(crate) fn new(
+        memory: &'m GuestMemory,
+        compression: Option<(PageCompression, usize)>,
+    ) -> Self {
         MigrationSource {
             memory,
-            compressor,
+            compressor: compression
+                .map(|(mode, cache_pages)| PageCompressor::with_cache_capacity(mode, cache_pages)),
             round: 0,
         }
     }
@@ -153,7 +148,7 @@ impl<'m> MigrationSource<'m> {
     }
 
     /// Compression statistics accumulated so far (None when sending raw).
-    pub fn compression_stats(&self) -> Option<crate::CompressionStats> {
+    pub fn compression_stats(&self) -> Option<CompressionStats> {
         self.compressor.as_ref().map(|c| c.stats())
     }
 }
@@ -345,401 +340,99 @@ impl<'m> MigrationSink<'m> {
     }
 }
 
-/// Shared phase driver: deliver the pending burst and apply it on the sink.
-fn deliver_and_apply(
-    transport: &mut dyn Transport,
-    sink: &mut MigrationSink<'_>,
-    now: Nanoseconds,
-) -> Result<Nanoseconds> {
-    let (done, burst) = transport.deliver(now)?;
-    let applied = sink.apply_burst(&burst);
-    transport.recycle(burst);
-    applied?;
-    Ok(done)
+/// The serial data plane: each phase is encoded into the transport's burst,
+/// delivered, and applied on the sink before the next phase starts, all on
+/// the calling thread.
+pub(crate) struct SerialPlane<'m> {
+    source: MigrationSource<'m>,
+    sink: MigrationSink<'m>,
 }
 
-impl StopAndCopy {
-    /// Run a stop-and-copy migration as a wire stream over `transport`.
-    ///
-    /// Byte- and nanosecond-equivalent to [`StopAndCopy::migrate`] when the
-    /// transport is a loopback over the same link.
-    pub fn migrate_over(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-    ) -> Result<MigrationReport> {
-        Self::migrate_over_traced(source, dest, vcpus, transport, &Trace::off())
-    }
-
-    /// [`StopAndCopy::migrate_over`] with trace spans emitted into `trace`.
-    pub fn migrate_over_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        let mut src = MigrationSource::raw(source);
-        let mut sink = MigrationSink::new(dest);
-
-        src.send_hello(transport)?;
-        let after_hello = deliver_and_apply(transport, &mut sink, start)?;
-
-        let all_pages: Vec<u64> = (0..source.total_pages()).collect();
-        let round_bytes_before = transport.bytes_sent();
-        src.encode_round(&all_pages, transport)?;
-        let after_pages = deliver_and_apply(transport, &mut sink, after_hello)?;
-        let round = RoundStat {
-            pages: all_pages.len() as u64,
-            bytes: transport.bytes_sent() - round_bytes_before,
-            duration: after_pages.saturating_sub(after_hello),
-        };
-        emit_round_span(trace, "round", 1, round, after_hello, after_pages);
-
-        src.send_vcpu_states(vcpus, transport)?;
-        let done = deliver_and_apply(transport, &mut sink, after_pages)?;
-
-        let elapsed = done.saturating_sub(start);
-        let report = MigrationReport {
-            kind: MigrationKind::StopAndCopy,
-            downtime: elapsed,
-            total_time: elapsed,
-            rounds: 1,
-            bytes_transferred: transport.bytes_sent() - bytes_before,
-            pages_transferred: all_pages.len() as u64,
-            memory_size: source.total_size(),
-            converged: true,
-            remote_faults: 0,
-            avg_fault_latency: Nanoseconds::ZERO,
-            rounds_breakdown: vec![round],
-        };
-        emit_migration_span(trace, &report, start, done, None);
-        Ok(report)
-    }
-}
-
-impl PreCopy {
-    /// Run an iterative pre-copy migration as a wire stream over
-    /// `transport`, while `dirty_source` keeps writing into the source.
-    ///
-    /// Byte- and nanosecond-equivalent to [`PreCopy::migrate`] over a
-    /// loopback transport when compression is off; with zero-page or XBZRLE
-    /// compression the run-length zero coding makes the stream *cheaper*
-    /// than the direct path's per-page markers.
-    pub fn migrate_over(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_over_traced(
-            source,
-            dest,
-            vcpus,
-            transport,
-            dirty_source,
-            config,
-            &Trace::off(),
-        )
-    }
-
-    /// [`PreCopy::migrate_over`] with trace spans emitted into `trace`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn migrate_over_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        let mut src = MigrationSource::with_config(source, config);
-        let mut sink = MigrationSink::new(dest);
-
-        src.send_hello(transport)?;
-        let mut now = deliver_and_apply(transport, &mut sink, start)?;
-
-        let mut total_pages = 0u64;
-        let mut rounds = 0u32;
-        let mut converged = false;
-
-        source.clear_dirty();
-        let mut to_send: Vec<u64> = (0..source.total_pages()).collect();
-        let mut harvest: Vec<u64> = Vec::new();
-        // Sized up front so steady-state rounds never reallocate it.
-        let mut breakdown: Vec<RoundStat> = Vec::with_capacity(config.max_rounds as usize + 1);
-
-        loop {
-            rounds += 1;
-            let round_start = now;
-            let round_bytes_before = transport.bytes_sent();
-            src.encode_round(&to_send, transport)?;
-            let done = deliver_and_apply(transport, &mut sink, now)?;
-            total_pages += to_send.len() as u64;
-            let round_duration = done.saturating_sub(round_start);
-            let stat = RoundStat {
-                pages: to_send.len() as u64,
-                bytes: transport.bytes_sent() - round_bytes_before,
-                duration: round_duration,
-            };
-            breakdown.push(stat);
-            emit_round_span(trace, "round", rounds, stat, round_start, done);
-            dirty_source.run_for(source, round_duration)?;
-            now = done;
-
-            source.drain_dirty_into(&mut harvest);
-            std::mem::swap(&mut to_send, &mut harvest);
-            if to_send.len() as u64 <= config.dirty_page_threshold {
-                converged = true;
-                break;
-            }
-            if rounds >= config.max_rounds {
-                break;
-            }
+impl<'m> SerialPlane<'m> {
+    /// A plane streaming `source` into `dest`, compressing pages as
+    /// `compression` says (`None` sends them raw).
+    pub(crate) fn new(
+        source: &'m GuestMemory,
+        dest: &'m GuestMemory,
+        compression: Option<(PageCompression, usize)>,
+    ) -> Self {
+        SerialPlane {
+            source: MigrationSource::new(source, compression),
+            sink: MigrationSink::new(dest),
         }
+    }
 
-        let pause_start = now;
-        let stop_bytes_before = transport.bytes_sent();
-        src.encode_round(&to_send, transport)?;
-        let after_residual = deliver_and_apply(transport, &mut sink, now)?;
-        total_pages += to_send.len() as u64;
-        let stop_stat = RoundStat {
-            pages: to_send.len() as u64,
-            bytes: transport.bytes_sent() - stop_bytes_before,
-            duration: after_residual.saturating_sub(pause_start),
-        };
-        breakdown.push(stop_stat);
-        emit_round_span(
-            trace,
-            "stop-phase",
-            rounds + 1,
-            stop_stat,
-            pause_start,
-            after_residual,
-        );
-        src.send_vcpu_states(vcpus, transport)?;
-        let done = deliver_and_apply(transport, &mut sink, after_residual)?;
-
-        let report = MigrationReport {
-            kind: MigrationKind::PreCopy,
-            downtime: done.saturating_sub(pause_start),
-            total_time: done.saturating_sub(start),
-            rounds,
-            bytes_transferred: transport.bytes_sent() - bytes_before,
-            pages_transferred: total_pages,
-            memory_size: source.total_size(),
-            converged,
-            remote_faults: 0,
-            avg_fault_latency: Nanoseconds::ZERO,
-            rounds_breakdown: breakdown,
-        };
-        emit_migration_span(trace, &report, start, done, src.compression_stats());
-        Ok(report)
+    /// Deliver the pending burst no earlier than `now` and apply it.
+    fn deliver(&mut self, transport: &mut dyn Transport, now: Nanoseconds) -> Result<Nanoseconds> {
+        let (done, burst) = transport.deliver(now)?;
+        let applied = self.sink.apply_burst(&burst);
+        transport.recycle(burst);
+        applied?;
+        Ok(done)
     }
 }
 
-impl PostCopy {
-    /// Run a post-copy migration as a wire stream over `transport`.
-    ///
-    /// Byte- and nanosecond-equivalent to [`PostCopy::migrate`] over a
-    /// loopback transport.
-    pub fn migrate_over(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_over_traced(source, dest, vcpus, transport, config, &Trace::off())
+impl Plane for SerialPlane<'_> {
+    fn hello(&mut self, transport: &mut dyn Transport, now: Nanoseconds) -> Result<Nanoseconds> {
+        self.source.send_hello(transport)?;
+        self.deliver(transport, now)
     }
 
-    /// [`PostCopy::migrate_over`] with trace spans emitted into `trace`.
-    pub fn migrate_over_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
+    fn round(
+        &mut self,
         transport: &mut dyn Transport,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        let mut src = MigrationSource::raw(source);
-        let mut sink = MigrationSink::new(dest);
-
-        src.send_hello(transport)?;
-        let after_hello = deliver_and_apply(transport, &mut sink, start)?;
-
-        // Pause: only the vCPU/device state crosses before resume.
-        src.send_vcpu_states(vcpus, transport)?;
-        let resumed_at = deliver_and_apply(transport, &mut sink, after_hello)?;
-        let downtime = resumed_at.saturating_sub(after_hello);
-
-        let total_pages = source.total_pages();
-        let fault_pages = ((total_pages as f64) * config.postcopy_fault_fraction).round() as u64;
-        let fault_pages = fault_pages.min(total_pages);
-
-        let all_pages: Vec<u64> = (0..total_pages).collect();
-        let round_bytes_before = transport.bytes_sent();
-        src.encode_round(&all_pages, transport)?;
-        let after_pages = deliver_and_apply(transport, &mut sink, resumed_at)?;
-        let round = RoundStat {
-            pages: total_pages,
-            bytes: transport.bytes_sent() - round_bytes_before,
-            duration: after_pages.saturating_sub(resumed_at),
-        };
-        emit_round_span(trace, "round", 1, round, resumed_at, after_pages);
-
-        let per_fault_latency = transport.transfer_time(PAGE_SIZE + PER_PAGE_OVERHEAD);
-        let fault_penalty = Nanoseconds(transport.latency().as_nanos() * fault_pages);
-        let done = after_pages.saturating_add(fault_penalty);
-
-        let report = MigrationReport {
-            kind: MigrationKind::PostCopy,
-            downtime,
-            total_time: done.saturating_sub(start),
-            rounds: 1,
-            bytes_transferred: transport.bytes_sent() - bytes_before,
-            pages_transferred: total_pages,
-            memory_size: source.total_size(),
-            converged: true,
-            remote_faults: fault_pages,
-            avg_fault_latency: per_fault_latency.saturating_add(transport.latency()),
-            rounds_breakdown: vec![round],
-        };
-        emit_migration_span(trace, &report, start, done, None);
-        Ok(report)
+        pages: &[u64],
+        now: Nanoseconds,
+    ) -> Result<Nanoseconds> {
+        self.source.encode_round(pages, transport)?;
+        self.deliver(transport, now)
     }
 
-    /// Run a post-copy migration with an out-of-order demand-fault service
-    /// lane: the demand-faulted pages ride a dedicated stream that
-    /// *overtakes* the background sweep.
-    ///
-    /// Hello and vCPU-state phases are identical to
-    /// [`PostCopy::migrate_over`] (same downtime). The page phase then
-    /// splits in two rounds: the faulted pages are encoded and delivered
-    /// first (the lane), the remaining pages follow as the background sweep.
-    /// Because every fault is serviced by the lane's single burst, the
-    /// sweep-ordered reference's serialized per-fault propagation penalty
-    /// (`latency × faults` appended after the sweep) never accrues — total
-    /// time is strictly lower whenever at least two pages fault, at the
-    /// cost of exactly one extra end-of-round marker frame on the wire.
-    ///
-    /// The sweep-ordered serial engine stays the proptest-pinned reference;
-    /// this path is selected per migration via
-    /// [`FaultService::FaultLane`](crate::FaultService::FaultLane) in a
-    /// [`MigrationPlan`](crate::MigrationPlan). See
-    /// [`sweep_mean_fault_latency`](crate::sweep_mean_fault_latency) for
-    /// how the two disciplines' mean fault service latencies compare.
-    pub fn migrate_fault_lane_over(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
+    fn vcpu_states(
+        &mut self,
         transport: &mut dyn Transport,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_fault_lane_over_traced(source, dest, vcpus, transport, config, &Trace::off())
+        states: &[VcpuState],
+        now: Nanoseconds,
+    ) -> Result<Nanoseconds> {
+        self.source.send_vcpu_states(states, transport)?;
+        self.deliver(transport, now)
     }
 
-    /// [`PostCopy::migrate_fault_lane_over`] with trace spans emitted into
-    /// `trace`.
-    pub fn migrate_fault_lane_over_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        let mut src = MigrationSource::raw(source);
-        let mut sink = MigrationSink::new(dest);
-
-        src.send_hello(transport)?;
-        let after_hello = deliver_and_apply(transport, &mut sink, start)?;
-
-        // Pause: only the vCPU/device state crosses before resume —
-        // identical to the sweep-ordered reference, so downtime is too.
-        src.send_vcpu_states(vcpus, transport)?;
-        let resumed_at = deliver_and_apply(transport, &mut sink, after_hello)?;
-        let downtime = resumed_at.saturating_sub(after_hello);
-
-        let total_pages = source.total_pages();
-        let fault_pages = ((total_pages as f64) * config.postcopy_fault_fraction).round() as u64;
-        let fault_pages = fault_pages.min(total_pages);
-
-        let all_pages: Vec<u64> = (0..total_pages).collect();
-        let (lane_pages, sweep_pages) = all_pages.split_at(fault_pages as usize);
-
-        // Round 1 — the fault lane: every demand-faulted page crosses in
-        // one dedicated burst, ahead of the sweep.
-        let lane_bytes_before = transport.bytes_sent();
-        src.encode_round(lane_pages, transport)?;
-        let after_lane = deliver_and_apply(transport, &mut sink, resumed_at)?;
-        let lane_round = RoundStat {
-            pages: lane_pages.len() as u64,
-            bytes: transport.bytes_sent() - lane_bytes_before,
-            duration: after_lane.saturating_sub(resumed_at),
-        };
-        emit_round_span(trace, "fault-lane", 1, lane_round, resumed_at, after_lane);
-
-        // Round 2 — the background sweep over everything else.
-        let sweep_bytes_before = transport.bytes_sent();
-        src.encode_round(sweep_pages, transport)?;
-        let after_sweep = deliver_and_apply(transport, &mut sink, after_lane)?;
-        let sweep_round = RoundStat {
-            pages: sweep_pages.len() as u64,
-            bytes: transport.bytes_sent() - sweep_bytes_before,
-            duration: after_sweep.saturating_sub(after_lane),
-        };
-        emit_round_span(trace, "sweep", 2, sweep_round, after_lane, after_sweep);
-
-        // No serialized fault penalty: the lane serviced each fault with a
-        // single propagation delay, already paid by the lane burst.
-        let per_fault_latency = transport.transfer_time(PAGE_SIZE + PER_PAGE_OVERHEAD);
-        let done = after_sweep;
-
-        let report = MigrationReport {
-            kind: MigrationKind::PostCopy,
-            downtime,
-            total_time: done.saturating_sub(start),
-            rounds: 2,
-            bytes_transferred: transport.bytes_sent() - bytes_before,
-            pages_transferred: total_pages,
-            memory_size: source.total_size(),
-            converged: true,
-            remote_faults: fault_pages,
-            avg_fault_latency: per_fault_latency.saturating_add(transport.latency()),
-            rounds_breakdown: vec![lane_round, sweep_round],
-        };
-        emit_migration_span(trace, &report, start, done, None);
-        Ok(report)
+    fn compression_stats(&self) -> Option<CompressionStats> {
+        self.source.compression_stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dirty::{ConstantRateDirtier, IdleDirtier};
+    use crate::dirty::{ConstantRateDirtier, DirtySource, IdleDirtier};
+    use crate::engines::{MigrationConfig, PostCopy, PreCopy, StopAndCopy, PER_PAGE_OVERHEAD};
+    use crate::plan::{FaultService, MigrationPlan, PlanEngine};
+    use crate::report::{MigrationKind, MigrationReport, RoundStat};
     use crate::transport::{FabricTransport, LoopbackTransport};
     use rvisor_net::{Fabric, FabricParams, Link, LinkModel};
+    use rvisor_obs::Trace;
     use rvisor_types::{ByteSize, GuestAddress};
+
+    const ENGINES: [PlanEngine; 3] = [
+        PlanEngine::StopAndCopy,
+        PlanEngine::PreCopy,
+        PlanEngine::PostCopy,
+    ];
+
+    /// One single-stream migration through the plan-driven entry point,
+    /// tracing off.
+    fn stream(
+        src: &GuestMemory,
+        dst: &GuestMemory,
+        transport: &mut dyn Transport,
+        dirtier: &mut dyn DirtySource,
+        plan: &MigrationPlan,
+    ) -> MigrationReport {
+        let vcpus = [VcpuState::default()];
+        crate::migrate(src, dst, &vcpus, transport, dirtier, plan, &Trace::off()).unwrap()
+    }
 
     fn memories(pages: u64) -> (GuestMemory, GuestMemory) {
         let src = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
@@ -793,21 +486,14 @@ mod tests {
         let (src, dst) = memories(pages);
         let mut link = Link::new(LinkModel::gigabit());
         let mut transport = LoopbackTransport::new(&mut link);
-        let vcpus = [VcpuState::default()];
-        let report = match engine {
-            0 => StopAndCopy::migrate_over(&src, &dst, &vcpus, &mut transport).unwrap(),
-            1 => {
-                let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                    LinkModel::gigabit().bytes_per_second,
-                    dirty_fraction,
-                    0,
-                    pages,
-                );
-                PreCopy::migrate_over(&src, &dst, &vcpus, &mut transport, &mut dirtier, config)
-                    .unwrap()
-            }
-            _ => PostCopy::migrate_over(&src, &dst, &vcpus, &mut transport, config).unwrap(),
-        };
+        let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
+            LinkModel::gigabit().bytes_per_second,
+            dirty_fraction,
+            0,
+            pages,
+        );
+        let plan = config.plan(ENGINES[engine]);
+        let report = stream(&src, &dst, &mut transport, &mut dirtier, &plan);
         (report, region_bytes(&dst))
     }
 
@@ -838,15 +524,8 @@ mod tests {
             let (src, dst) = memories(pages);
             let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
             let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
-            let report = PreCopy::migrate_over(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut IdleDirtier,
-                &config,
-            )
-            .unwrap();
+            let plan = config.plan(PlanEngine::PreCopy);
+            let report = stream(&src, &dst, &mut transport, &mut IdleDirtier, &plan);
             (report, region_bytes(&dst))
         };
         let (fabric_report, fabric_mem) = run_fabric();
@@ -897,15 +576,8 @@ mod tests {
             let (src2, dst2) = make();
             let mut link2 = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link2);
-            let streamed = PreCopy::migrate_over(
-                &src2,
-                &dst2,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut IdleDirtier,
-                &config,
-            )
-            .unwrap();
+            let plan = config.plan(PlanEngine::PreCopy);
+            let streamed = stream(&src2, &dst2, &mut transport, &mut IdleDirtier, &plan);
             assert_eq!(region_bytes(&dst2), direct_mem, "{compression:?}");
             assert!(
                 streamed.bytes_transferred < direct.bytes_transferred,
@@ -1028,13 +700,15 @@ mod tests {
             let (src, dst) = memories(pages);
             let mut link = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
-            let vcpus = [VcpuState::default()];
-            let report = if lane {
-                PostCopy::migrate_fault_lane_over(&src, &dst, &vcpus, &mut transport, &config)
-                    .unwrap()
-            } else {
-                PostCopy::migrate_over(&src, &dst, &vcpus, &mut transport, &config).unwrap()
+            let plan = MigrationPlan {
+                fault_service: if lane {
+                    FaultService::FaultLane
+                } else {
+                    FaultService::Sweep
+                },
+                ..config.plan(PlanEngine::PostCopy)
             };
+            let report = stream(&src, &dst, &mut transport, &mut IdleDirtier, &plan);
             (report, region_bytes(&dst))
         };
         let (sweep, sweep_mem) = run(false);
@@ -1086,18 +760,13 @@ mod tests {
             let (src, dst) = memories(pages);
             let mut link = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
-            let config = MigrationConfig {
+            let plan = MigrationPlan {
+                engine: PlanEngine::PostCopy,
+                fault_service: FaultService::FaultLane,
                 postcopy_fault_fraction: fraction,
                 ..Default::default()
             };
-            let report = PostCopy::migrate_fault_lane_over(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &config,
-            )
-            .unwrap();
+            let report = stream(&src, &dst, &mut transport, &mut IdleDirtier, &plan);
             assert_eq!(region_bytes(&dst), region_bytes(&src), "{fraction}");
             assert_eq!(report.rounds, 2);
             assert_eq!(
@@ -1106,6 +775,47 @@ mod tests {
             );
             assert_eq!(report.pages_transferred, pages);
         }
+    }
+
+    /// No direct engine has a fault lane, so the lane's report is pinned
+    /// to the literal the pre-refactor serial lane produced.
+    #[test]
+    fn fault_lane_report_is_golden() {
+        let (src, dst) = memories(512);
+        let mut link = Link::new(LinkModel::gigabit());
+        let mut transport = LoopbackTransport::new(&mut link);
+        let plan = MigrationPlan {
+            engine: PlanEngine::PostCopy,
+            fault_service: FaultService::FaultLane,
+            ..Default::default()
+        };
+        let report = stream(&src, &dst, &mut transport, &mut IdleDirtier, &plan);
+        let golden = MigrationReport {
+            kind: MigrationKind::PostCopy,
+            downtime: Nanoseconds(232_768),
+            total_time: Nanoseconds(17_676_048),
+            rounds: 2,
+            bytes_transferred: 2_109_506,
+            pages_transferred: 512,
+            memory_size: ByteSize(2_097_152),
+            converged: true,
+            remote_faults: 51,
+            avg_fault_latency: Nanoseconds(432_896),
+            rounds_breakdown: vec![
+                RoundStat {
+                    pages: 51,
+                    bytes: 209_728,
+                    duration: Nanoseconds(1_877_824),
+                },
+                RoundStat {
+                    pages: 461,
+                    bytes: 1_895_648,
+                    duration: Nanoseconds(15_365_184),
+                },
+            ],
+        };
+        assert_eq!(report, golden);
+        assert_eq!(region_bytes(&dst), region_bytes(&src));
     }
 
     mod properties {
@@ -1176,10 +886,8 @@ mod tests {
                 let (src_b, dst_b) = make();
                 let mut link_b = Link::new(LinkModel::gigabit());
                 let mut transport = LoopbackTransport::new(&mut link_b);
-                let streamed = PreCopy::migrate_over(
-                    &src_b, &dst_b, &[VcpuState::default()], &mut transport,
-                    &mut IdleDirtier, &config,
-                ).unwrap();
+                let plan = config.plan(PlanEngine::PreCopy);
+                let streamed = stream(&src_b, &dst_b, &mut transport, &mut IdleDirtier, &plan);
 
                 prop_assert_eq!(region_bytes(&dst_b), region_bytes(&dst_a));
                 prop_assert_eq!(region_bytes(&dst_b), region_bytes(&src_b));
@@ -1196,10 +904,7 @@ mod tests {
                     0,
                     pages,
                 );
-                PreCopy::migrate_over(
-                    &src_c, &dst_c, &[VcpuState::default()], &mut transport_c,
-                    &mut dirtier, &config,
-                ).unwrap();
+                stream(&src_c, &dst_c, &mut transport_c, &mut dirtier, &plan);
                 prop_assert_eq!(region_bytes(&dst_c), region_bytes(&src_c));
             }
         }

@@ -16,7 +16,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::num::NonZeroUsize;
 
 use rvisor_memory::GuestMemory;
-use rvisor_migrate::{ConstantRateDirtier, LoopbackTransport, MigrationConfig, PreCopy};
+use rvisor_migrate::{
+    migrate, ConstantRateDirtier, LoopbackTransport, MigrationConfig, MigrationPlan, PreCopy,
+};
 use rvisor_net::{Link, LinkModel};
 use rvisor_obs::Trace;
 use rvisor_types::{ByteSize, GuestAddress, PAGE_SIZE};
@@ -199,20 +201,21 @@ fn steady_state_precopy_round_is_allocation_free() {
             0,
             PAGES,
         );
-        let config = MigrationConfig {
+        let plan = MigrationPlan {
             max_rounds,
             dirty_page_threshold: 32,
             streams: NonZeroUsize::new(4).unwrap(),
             ..Default::default()
         };
         let before = allocations();
-        let report = PreCopy::migrate_pipelined(
+        let report = migrate(
             &src,
             &dst,
             &[VcpuState::default()],
             &mut transport,
             &mut dirtier,
-            &config,
+            &plan,
+            &Trace::off(),
         )
         .unwrap();
         let spent = allocations() - before;
@@ -242,9 +245,9 @@ fn steady_state_precopy_round_is_allocation_free() {
     // ---- Part 4: tracing off costs nothing on the hot path. ----
     //
     // The observability plane promises that a disabled `Trace` is free: the
-    // instrumented engine entry points bail out on `is_on()` before
-    // formatting a single argument. Pin the allocation half of that promise
-    // through the *traced* serial entry point with `Trace::off()`: compare a
+    // phase skeletons bail out on `is_on()` before formatting a single
+    // argument. Pin the allocation half of that promise through the
+    // plan-driven entry point on its serial plane with `Trace::off()`: compare a
     // 12-round against a 28-round migration of the same non-converging
     // guest. The 16 extra steady-state rounds — each of which would emit a
     // round span if tracing were on — must perform **exactly zero** heap
@@ -266,20 +269,20 @@ fn steady_state_precopy_round_is_allocation_free() {
             0,
             PAGES,
         );
-        let config = MigrationConfig {
+        let plan = MigrationPlan {
             max_rounds,
             dirty_page_threshold: 32,
             ..Default::default()
         };
         let trace = Trace::off();
         let before = allocations();
-        let report = PreCopy::migrate_over_traced(
+        let report = migrate(
             &src,
             &dst,
             &[VcpuState::default()],
             &mut transport,
             &mut dirtier,
-            &config,
+            &plan,
             &trace,
         )
         .unwrap();
@@ -296,7 +299,7 @@ fn steady_state_precopy_round_is_allocation_free() {
     let off_extra = off_long.saturating_sub(off_short);
     assert_eq!(
         off_extra, 0,
-        "16 extra steady-state rounds through the traced entry point with \
+        "16 extra steady-state rounds through the plan-driven entry point with \
          tracing off cost {off_extra} allocations; a disabled Trace must be \
          free on the hot path"
     );

@@ -55,11 +55,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroU64;
 
-use rvisor::{MigrationOutcome, Vm, VmConfig, VmLifecycle, Vmm};
+use rvisor::{Vm, VmConfig, VmLifecycle, Vmm};
 use rvisor_cluster::{Host, HostSpec, PlacementStrategy, VmSpec};
-use rvisor_migrate::{
-    FabricTransport, MigrationConfig, MigrationPlan, MigrationReport, PlanEngine,
-};
+use rvisor_migrate::{FabricTransport, MigrationPlan, MigrationReport};
 use rvisor_net::{AnyFabric, ClosFabric, ClosParams, Fabric};
 use rvisor_obs::{ArgValue, Trace};
 use rvisor_snapshot::{CasStore, IngestStats, ManifestId, SnapshotId, SnapshotStore};
@@ -1116,38 +1114,6 @@ impl Cluster {
         Ok(lost)
     }
 
-    /// Live-migrate the named VM from its current host to `to`, starting
-    /// no earlier than `now` (the caller's simulated clock) — the stream's
-    /// fabric occupancy lands at the present, so it contends with every
-    /// other migration and backup issued around the same instant.
-    ///
-    /// Migration touches guest memory, so a still-modeled VM is
-    /// materialized first (and stays materialized ever after).
-    ///
-    /// The run-level `(engine, migration_streams, migration_compression)`
-    /// knobs are lowered into a [`MigrationPlan`] and executed by
-    /// [`Cluster::migrate_planned`] — identical results, one code path.
-    pub fn migrate(
-        &mut self,
-        vm: &str,
-        to: HostId,
-        engine: MigrationOutcome,
-        now: Nanoseconds,
-    ) -> Result<MigrationReport> {
-        let engine = match engine {
-            MigrationOutcome::StopAndCopy => PlanEngine::StopAndCopy,
-            MigrationOutcome::PreCopy => PlanEngine::PreCopy,
-            MigrationOutcome::PostCopy => PlanEngine::PostCopy,
-        };
-        let plan = MigrationConfig {
-            streams: self.params.migration_streams,
-            compression: self.params.migration_compression,
-            ..Default::default()
-        }
-        .plan(engine);
-        self.migrate_planned(vm, to, &plan, now)
-    }
-
     /// The dirty rate (bytes/second) last observed for the named VM during
     /// a pre-copy migration, if any. Still-modeled VMs have never been
     /// migrated, so they report `None` (the planner treats that as cold).
@@ -1170,9 +1136,16 @@ impl Cluster {
             .map(|s| s.memory)
     }
 
-    /// Live-migrate the named VM under an explicit per-migration
-    /// [`MigrationPlan`] — what the adaptive planner drives when
-    /// [`EngineChoice::Auto`](crate::EngineChoice::Auto) is selected.
+    /// Live-migrate the named VM from its current host to `to` under a
+    /// per-migration [`MigrationPlan`], starting no earlier than `now` (the
+    /// caller's simulated clock) — the stream's fabric occupancy lands at
+    /// the present, so it contends with every other migration and backup
+    /// issued around the same instant.
+    ///
+    /// Migration touches guest memory, so a still-modeled VM is
+    /// materialized first (and stays materialized ever after). A failed
+    /// migration rolls back: the VM stays running and indexed on its
+    /// source host, and the destination keeps no shell.
     pub fn migrate_planned(
         &mut self,
         vm: &str,
@@ -1227,7 +1200,7 @@ impl Cluster {
         let migrated = FabricTransport::starting_at(&mut self.fabric, from_idx, to_idx, now)
             .and_then(|mut transport| {
                 src.vmm
-                    .migrate_to_planned_traced(vm_id, &mut dst.vmm, &mut transport, plan, &trace)
+                    .migrate_to(vm_id, &mut dst.vmm, &mut transport, plan, &trace)
             });
         let (new_id, report) = match migrated {
             Ok(ok) => ok,
@@ -1459,6 +1432,16 @@ impl Cluster {
 mod tests {
     use super::*;
     use rvisor_cluster::ServerRole;
+    use rvisor_migrate::PlanEngine;
+
+    /// The default plan for `engine` (what a default-parameter cluster's
+    /// static engine choices lower to).
+    fn plan(engine: PlanEngine) -> MigrationPlan {
+        MigrationPlan {
+            engine,
+            ..Default::default()
+        }
+    }
 
     fn small_params() -> OrchParams {
         OrchParams {
@@ -1511,10 +1494,10 @@ mod tests {
         let mut c = Cluster::new(specs(2), small_params()).unwrap();
         c.deploy(HostId::new(0), web("mv")).unwrap();
         let report = c
-            .migrate(
+            .migrate_planned(
                 "mv",
                 HostId::new(1),
-                MigrationOutcome::PreCopy,
+                &plan(PlanEngine::PreCopy),
                 Nanoseconds::ZERO,
             )
             .unwrap();
@@ -1534,13 +1517,49 @@ mod tests {
             .unwrap();
         assert_ne!(stamp, 0);
         assert!(c
-            .migrate(
+            .migrate_planned(
                 "mv",
                 HostId::new(1),
-                MigrationOutcome::PreCopy,
-                Nanoseconds::ZERO,
+                &plan(PlanEngine::PreCopy),
+                Nanoseconds::ZERO
             )
             .is_err());
+    }
+
+    #[test]
+    fn failed_migration_leaves_the_vm_indexed_on_its_source() {
+        for params in [small_params(), on_demand_params()] {
+            let mut c = Cluster::new(specs(2), params).unwrap();
+            c.deploy(HostId::new(0), web("stay")).unwrap();
+            c.check_invariants();
+            // The plan is rejected by the engine after the destination shell
+            // exists and the post-copy source has been paused.
+            let bad = MigrationPlan {
+                postcopy_fault_fraction: 2.0,
+                ..plan(PlanEngine::PostCopy)
+            };
+            assert!(c
+                .migrate_planned("stay", HostId::new(1), &bad, Nanoseconds::ZERO)
+                .is_err());
+            assert_eq!(c.host_of("stay"), Some(HostId::new(0)));
+            assert_eq!(c.hosts()[0].accounting().vm_count(), 1);
+            assert_eq!(c.hosts()[1].accounting().vm_count(), 0);
+            assert_eq!(c.hosts()[1].vmm().vm_count(), 0, "the shell leaked");
+            let vmm = c.hosts()[0].vmm();
+            let id = vmm.find_vm("stay").unwrap();
+            assert_eq!(vmm.lifecycle_of(id).unwrap(), VmLifecycle::Running);
+            c.check_invariants();
+            // The VM is intact: the same move with a valid plan succeeds.
+            c.migrate_planned(
+                "stay",
+                HostId::new(1),
+                &plan(PlanEngine::PostCopy),
+                Nanoseconds::ZERO,
+            )
+            .unwrap();
+            assert_eq!(c.host_of("stay"), Some(HostId::new(1)));
+            c.check_invariants();
+        }
     }
 
     #[test]
@@ -1636,10 +1655,10 @@ mod tests {
         c.check_invariants();
 
         // Migration touches guest memory: the VM materializes on the way.
-        c.migrate(
+        c.migrate_planned(
             "m",
             HostId::new(1),
-            MigrationOutcome::PreCopy,
+            &plan(PlanEngine::PreCopy),
             Nanoseconds::ZERO,
         )
         .unwrap();
@@ -1694,10 +1713,10 @@ mod tests {
             let mut c = Cluster::new(specs(2), params).unwrap();
             c.deploy(HostId::new(0), web("edge")).unwrap();
             let report = c
-                .migrate(
+                .migrate_planned(
                     "edge",
                     HostId::new(1),
-                    MigrationOutcome::PreCopy,
+                    &plan(PlanEngine::PreCopy),
                     Nanoseconds::ZERO,
                 )
                 .unwrap();
@@ -1751,8 +1770,13 @@ mod tests {
                 .map(|h| h.id())
                 .find(|&id| id != from)
                 .unwrap();
-            c.migrate("vm-5", to, MigrationOutcome::StopAndCopy, Nanoseconds::ZERO)
-                .unwrap();
+            c.migrate_planned(
+                "vm-5",
+                to,
+                &plan(PlanEngine::StopAndCopy),
+                Nanoseconds::ZERO,
+            )
+            .unwrap();
             c.check_invariants();
             c.fail_host(HostId::new(3)).unwrap();
             c.check_invariants();

@@ -39,9 +39,9 @@
 //! On every rebalance tick the orchestrator hands the cluster to its
 //! [`RebalancePolicy`], which returns a [`RebalancePlan`] — migrations plus
 //! power actions — that the orchestrator then executes through
-//! [`Vmm::migrate_to_over`](rvisor::Vmm::migrate_to_over) (engine per
-//! decision: pre-copy/post-copy for running guests, stop-and-copy
-//! otherwise) and the cluster power controls. Migrations stream in the
+//! [`Cluster::migrate_planned`] and [`Vmm::migrate_to`](rvisor::Vmm::migrate_to)
+//! (engine per decision: pre-copy/post-copy for running guests,
+//! stop-and-copy otherwise) and the cluster power controls. Migrations stream in the
 //! wire format across a shared [`Fabric`](rvisor_net::Fabric) — per-host
 //! NICs, one backbone, MTU chunking ([`OrchParams::fabric`]) — and DR
 //! backup sweeps cross the same fabric to a dedicated DR endpoint, so
@@ -137,7 +137,7 @@ pub mod scenario;
 
 pub use cluster::{BackupHandle, Cluster, HostPower, OrchHost};
 pub use event::{EventQueue, MinHeapQueue, OrchEvent, Scheduled};
-pub use orchestrator::{run_datacenter, run_datacenter_traced, Orchestrator};
+pub use orchestrator::{run_datacenter, Orchestrator};
 pub use params::{EngineChoice, FabricTopology, OrchParams, VmFidelity, MIN_GUEST_MEMORY};
 pub use planner::{MigrationPlanner, PlanChoice};
 pub use policy::{

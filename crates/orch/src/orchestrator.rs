@@ -17,17 +17,6 @@ use crate::policy::{DecisionReason, RebalancePolicy};
 use crate::report::OrchReport;
 use crate::scenario::Scenario;
 
-/// Stable engine label for trace arguments (matches `MigrationKind::name`,
-/// plus `auto` for planner-deferred decisions).
-fn engine_label(engine: EngineChoice) -> &'static str {
-    match engine {
-        EngineChoice::StopAndCopy => "stop-and-copy",
-        EngineChoice::PreCopy => "pre-copy",
-        EngineChoice::PostCopy => "post-copy",
-        EngineChoice::Auto => "auto",
-    }
-}
-
 /// A VM waiting for capacity (arrival deferred by a full cluster).
 #[derive(Debug, Clone)]
 struct PendingVm {
@@ -748,54 +737,49 @@ impl Orchestrator {
     /// observed dirty rate, spec size and the current fabric backlog, and
     /// emits the decision as a typed `orch/planner` instant.
     fn resolve_plan(&mut self, choice: EngineChoice, vm: &str) -> MigrationPlan {
-        let engine = match choice {
-            EngineChoice::StopAndCopy => PlanEngine::StopAndCopy,
-            EngineChoice::PreCopy => PlanEngine::PreCopy,
-            EngineChoice::PostCopy => PlanEngine::PostCopy,
-            EngineChoice::Auto => {
-                let dirty_rate = self.cluster.observed_dirty_rate(vm).unwrap_or(0);
-                let guest = self.cluster.spec_memory_of(vm).unwrap_or(ByteSize::new(0));
-                let backlog = self.cluster.fabric().free_at().saturating_sub(self.now);
-                let chosen = self.planner.plan(dirty_rate, guest, backlog);
-                self.report.planner_decisions += 1;
-                match chosen.plan.engine {
-                    PlanEngine::StopAndCopy => self.report.planner_stop_and_copy += 1,
-                    PlanEngine::PreCopy => self.report.planner_pre_copy += 1,
-                    PlanEngine::PostCopy => self.report.planner_post_copy += 1,
-                }
-                if chosen.plan.fault_service == FaultService::FaultLane {
-                    self.report.planner_fault_lane += 1;
-                }
-                if self.trace.is_on() {
-                    self.trace.instant(
-                        "orch/planner",
-                        "plan",
-                        self.now,
-                        &[
-                            ("vm", ArgValue::Str(vm)),
-                            ("engine", ArgValue::Str(chosen.plan.engine.name())),
-                            (
-                                "fault_service",
-                                ArgValue::Str(chosen.plan.fault_service.name()),
-                            ),
-                            ("streams", ArgValue::U64(chosen.plan.streams.get() as u64)),
-                            ("dirty_rate", ArgValue::U64(dirty_rate)),
-                            ("guest_bytes", ArgValue::U64(guest.as_u64())),
-                            ("backlog_ns", ArgValue::U64(backlog.as_nanos())),
-                            ("reason", ArgValue::Str(chosen.reason)),
-                        ],
-                    );
-                    self.trace.add("planner.decisions", 1);
-                }
-                return chosen.plan;
+        if let Some(engine) = choice.plan_engine() {
+            return MigrationConfig {
+                streams: self.params.migration_streams,
+                compression: self.params.migration_compression,
+                ..Default::default()
             }
-        };
-        MigrationConfig {
-            streams: self.params.migration_streams,
-            compression: self.params.migration_compression,
-            ..Default::default()
+            .plan(engine);
         }
-        .plan(engine)
+        let dirty_rate = self.cluster.observed_dirty_rate(vm).unwrap_or(0);
+        let guest = self.cluster.spec_memory_of(vm).unwrap_or(ByteSize::new(0));
+        let backlog = self.cluster.fabric().free_at().saturating_sub(self.now);
+        let chosen = self.planner.plan(dirty_rate, guest, backlog);
+        self.report.planner_decisions += 1;
+        match chosen.plan.engine {
+            PlanEngine::StopAndCopy => self.report.planner_stop_and_copy += 1,
+            PlanEngine::PreCopy => self.report.planner_pre_copy += 1,
+            PlanEngine::PostCopy => self.report.planner_post_copy += 1,
+        }
+        if chosen.plan.fault_service == FaultService::FaultLane {
+            self.report.planner_fault_lane += 1;
+        }
+        if self.trace.is_on() {
+            self.trace.instant(
+                "orch/planner",
+                "plan",
+                self.now,
+                &[
+                    ("vm", ArgValue::Str(vm)),
+                    ("engine", ArgValue::Str(chosen.plan.engine.name())),
+                    (
+                        "fault_service",
+                        ArgValue::Str(chosen.plan.fault_service.name()),
+                    ),
+                    ("streams", ArgValue::U64(chosen.plan.streams.get() as u64)),
+                    ("dirty_rate", ArgValue::U64(dirty_rate)),
+                    ("guest_bytes", ArgValue::U64(guest.as_u64())),
+                    ("backlog_ns", ArgValue::U64(backlog.as_nanos())),
+                    ("reason", ArgValue::Str(chosen.reason)),
+                ],
+            );
+            self.trace.add("planner.decisions", 1);
+        }
+        chosen.plan
     }
 
     fn on_rebalance_tick(&mut self) -> Result<()> {
@@ -835,7 +819,12 @@ impl Orchestrator {
                     &[
                         ("vm", ArgValue::Str(&decision.vm)),
                         ("to", ArgValue::U64(u64::from(decision.to.raw()))),
-                        ("engine", ArgValue::Str(engine_label(decision.engine))),
+                        (
+                            "engine",
+                            ArgValue::Str(
+                                decision.engine.plan_engine().map_or("auto", |e| e.name()),
+                            ),
+                        ),
                         (
                             "streams",
                             ArgValue::U64(self.params.migration_streams.get() as u64),
@@ -1095,29 +1084,6 @@ pub fn run_datacenter(
         .map(|i| HostSpec::modern_server(HostId::new(i as u32)))
         .collect();
     Orchestrator::new(specs, params, policy)?.run(scenario)
-}
-
-/// [`run_datacenter`] with a trace sink attached to every layer (event loop,
-/// policy decisions, cluster migrations, fabric transfers, DR backups).
-///
-/// With [`Trace::off`] this is exactly [`run_datacenter`]; with a sink the
-/// report is still `==`-equal — tracing observes, never steers.
-pub fn run_datacenter_traced(
-    hosts: usize,
-    params: OrchParams,
-    policy: Box<dyn RebalancePolicy>,
-    scenario: &Scenario,
-    trace: Trace,
-) -> Result<OrchReport> {
-    if hosts == 0 {
-        return Err(Error::Config("need at least one host".into()));
-    }
-    let specs = (0..hosts)
-        .map(|i| HostSpec::modern_server(HostId::new(i as u32)))
-        .collect();
-    let mut orch = Orchestrator::new(specs, params, policy)?;
-    orch.set_trace(trace);
-    orch.run(scenario)
 }
 
 #[cfg(test)]
@@ -1564,14 +1530,11 @@ mod tests {
             let untraced =
                 run_datacenter(4, fast_params(), Box::new(ThresholdRebalance), &s).unwrap();
             let (trace, recorder) = Trace::recording();
-            let traced = run_datacenter_traced(
-                4,
-                fast_params(),
-                Box::new(ThresholdRebalance),
-                &s,
-                trace,
-            )
-            .unwrap();
+            let hosts = (0..4).map(|i| HostSpec::modern_server(HostId::new(i))).collect();
+            let mut orch =
+                Orchestrator::new(hosts, fast_params(), Box::new(ThresholdRebalance)).unwrap();
+            orch.set_trace(trace);
+            let traced = orch.run(&s).unwrap();
             prop_assert_eq!(untraced, traced);
             prop_assert!(
                 !recorder.borrow().events().is_empty(),

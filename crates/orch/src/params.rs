@@ -7,9 +7,8 @@
 
 use std::num::{NonZeroU64, NonZeroUsize};
 
-use rvisor::MigrationOutcome;
 use rvisor_cluster::PlacementStrategy;
-use rvisor_migrate::{PageCompression, MAX_MIGRATION_STREAMS};
+use rvisor_migrate::{PageCompression, PlanEngine, MAX_MIGRATION_STREAMS};
 use rvisor_net::FabricParams;
 use rvisor_snapshot::BackupTarget;
 use rvisor_types::{ByteSize, Error, Nanoseconds, Result};
@@ -43,15 +42,13 @@ pub enum VmFidelity {
     OnDemand,
 }
 
-/// Which migration engine rebalance migrations should use — the dedicated
-/// *selector* enum for [`OrchParams::engine`].
+/// Which migration engine rebalance migrations should use — the selector
+/// enum for [`OrchParams::engine`].
 ///
-/// Earlier revisions reused the report enum [`MigrationOutcome`] as the
-/// selector; that conflated "what happened" with "what was asked for" and
-/// left nowhere to express [`Auto`](EngineChoice::Auto). The lowering
-/// `From<EngineChoice> for MigrationOutcome` maps each explicit choice to
-/// its outcome (`Auto` lowers to the pre-copy default when no planner is
-/// consulted).
+/// The three fixed choices name a [`PlanEngine`];
+/// [`Auto`](EngineChoice::Auto) defers the whole plan to the adaptive
+/// planner. [`EngineChoice::plan_engine`] is the one lowering between the
+/// two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineChoice {
     /// Pause, copy, resume (cold migration).
@@ -67,24 +64,15 @@ pub enum EngineChoice {
     Auto,
 }
 
-impl From<EngineChoice> for MigrationOutcome {
-    fn from(choice: EngineChoice) -> Self {
-        match choice {
-            EngineChoice::StopAndCopy => MigrationOutcome::StopAndCopy,
-            // Auto without a planner in the loop falls back to the live
-            // migration default.
-            EngineChoice::PreCopy | EngineChoice::Auto => MigrationOutcome::PreCopy,
-            EngineChoice::PostCopy => MigrationOutcome::PostCopy,
-        }
-    }
-}
-
-impl From<MigrationOutcome> for EngineChoice {
-    fn from(outcome: MigrationOutcome) -> Self {
-        match outcome {
-            MigrationOutcome::StopAndCopy => EngineChoice::StopAndCopy,
-            MigrationOutcome::PreCopy => EngineChoice::PreCopy,
-            MigrationOutcome::PostCopy => EngineChoice::PostCopy,
+impl EngineChoice {
+    /// The fixed engine this choice names, or `None` for
+    /// [`Auto`](EngineChoice::Auto) (the planner picks per migration).
+    pub fn plan_engine(self) -> Option<PlanEngine> {
+        match self {
+            EngineChoice::StopAndCopy => Some(PlanEngine::StopAndCopy),
+            EngineChoice::PreCopy => Some(PlanEngine::PreCopy),
+            EngineChoice::PostCopy => Some(PlanEngine::PostCopy),
+            EngineChoice::Auto => None,
         }
     }
 }
@@ -162,21 +150,10 @@ pub struct OrchParams {
     /// Memory overcommit factor applied to every host's capacity
     /// accounting (1.0 = none; >1.0 relies on ballooning/KSM headroom).
     pub memory_overcommit: f64,
-    /// Engine used for policy-driven rebalancing migrations of running VMs.
-    ///
-    /// Deprecated alias of [`OrchParams::engine`]: it still works (when
-    /// `engine` is `None` the run derives its choice from this field), but
-    /// it cannot express [`EngineChoice::Auto`]. New call sites should set
-    /// `engine: Some(...)` instead.
-    #[deprecated(
-        note = "set `engine: Some(EngineChoice)` instead; this alias cannot express Auto"
-    )]
-    pub migration_engine: MigrationOutcome,
-    /// Engine selector for rebalance migrations, including
-    /// [`EngineChoice::Auto`] for the adaptive per-migration planner.
-    /// `None` falls back to the deprecated
-    /// [`OrchParams::migration_engine`] alias so existing call sites keep
-    /// their behaviour; [`OrchParams::effective_engine`] resolves the pair.
+    /// Engine selector for policy-driven rebalance migrations of running
+    /// VMs, including [`EngineChoice::Auto`] for the adaptive per-migration
+    /// planner. `None` means the default engine
+    /// ([`EngineChoice::default`], pre-copy).
     pub engine: Option<EngineChoice>,
     /// Page compression applied to rebalance migrations when the engine
     /// choice is static (a planner decides compression per migration under
@@ -267,12 +244,10 @@ pub struct OrchParams {
 }
 
 impl Default for OrchParams {
-    #[allow(deprecated)]
     fn default() -> Self {
         OrchParams {
             placement: PlacementStrategy::FirstFitDecreasing,
             memory_overcommit: 1.0,
-            migration_engine: MigrationOutcome::PreCopy,
             engine: None,
             migration_compression: PageCompression::None,
             migration_streams: NonZeroUsize::MIN,
@@ -297,15 +272,6 @@ impl Default for OrchParams {
 }
 
 impl OrchParams {
-    /// The engine selector in effect: [`OrchParams::engine`] when set,
-    /// otherwise the choice derived from the deprecated
-    /// [`OrchParams::migration_engine`] alias.
-    pub fn effective_engine(&self) -> EngineChoice {
-        #[allow(deprecated)]
-        self.engine
-            .unwrap_or_else(|| EngineChoice::from(self.migration_engine))
-    }
-
     /// Validate parameter sanity (thresholds ordered, intervals non-zero).
     pub fn validate(&self) -> Result<()> {
         if self.rebalance_interval == Nanoseconds::ZERO {
@@ -399,30 +365,20 @@ mod tests {
     }
 
     #[test]
-    fn engine_choice_lowers_and_aliases() {
-        for (choice, outcome) in [
-            (EngineChoice::StopAndCopy, MigrationOutcome::StopAndCopy),
-            (EngineChoice::PreCopy, MigrationOutcome::PreCopy),
-            (EngineChoice::PostCopy, MigrationOutcome::PostCopy),
-            (EngineChoice::Auto, MigrationOutcome::PreCopy),
+    fn engine_choice_lowers_to_plan_engine() {
+        for (choice, engine) in [
+            (EngineChoice::StopAndCopy, Some(PlanEngine::StopAndCopy)),
+            (EngineChoice::PreCopy, Some(PlanEngine::PreCopy)),
+            (EngineChoice::PostCopy, Some(PlanEngine::PostCopy)),
+            (EngineChoice::Auto, None),
         ] {
-            assert_eq!(MigrationOutcome::from(choice), outcome);
+            assert_eq!(choice.plan_engine(), engine);
         }
-        // The deprecated alias still drives the run when `engine` is unset.
-        #[allow(deprecated)]
-        let legacy = OrchParams {
-            migration_engine: MigrationOutcome::PostCopy,
-            ..Default::default()
-        };
-        assert_eq!(legacy.effective_engine(), EngineChoice::PostCopy);
-        let new = OrchParams {
-            engine: Some(EngineChoice::Auto),
-            ..Default::default()
-        };
-        assert_eq!(new.effective_engine(), EngineChoice::Auto);
+        // An unset selector means the default engine.
+        assert_eq!(OrchParams::default().engine, None);
         assert_eq!(
-            OrchParams::default().effective_engine(),
-            EngineChoice::PreCopy
+            EngineChoice::default().plan_engine(),
+            Some(PlanEngine::default())
         );
     }
 

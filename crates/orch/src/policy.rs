@@ -132,17 +132,14 @@ fn engine_for(cluster: &Cluster, from: HostId, vm: &str, params: &OrchParams) ->
         return EngineChoice::StopAndCopy;
     };
     let host = cluster.host_at(pos);
-    if host.is_model(vm) {
-        return params.effective_engine();
-    }
-    let running = host
-        .vmm()
-        .find_vm(vm)
-        .and_then(|id| host.vmm().lifecycle_of(id).ok())
-        .map(|lc| lc == rvisor::VmLifecycle::Running)
-        .unwrap_or(false);
+    let running = host.is_model(vm)
+        || host
+            .vmm()
+            .find_vm(vm)
+            .and_then(|id| host.vmm().lifecycle_of(id).ok())
+            .is_some_and(|lc| lc == rvisor::VmLifecycle::Running);
     if running {
-        params.effective_engine()
+        params.engine.unwrap_or_default()
     } else {
         EngineChoice::StopAndCopy
     }

@@ -43,7 +43,7 @@ pub mod vm;
 
 pub use config::{DiskConfig, VmConfig};
 pub use hypercalls::HypercallNr;
-pub use manager::{MigrationOutcome, Vmm, VmmUtilization};
+pub use manager::{Vmm, VmmUtilization};
 pub use vm::{Vm, VmLifecycle, VmRunStats};
 
 pub use rvisor_memory::{DedupAnalysis, KsmConfig, KsmManager, KsmStats};

@@ -7,28 +7,14 @@
 use std::collections::BTreeMap;
 
 use rvisor_memory::{analyze_sharing, DedupAnalysis, GuestMemory, KsmConfig, KsmManager};
-use rvisor_migrate::{
-    DirtySource, FaultService, LoopbackTransport, MigrationConfig, MigrationPlan, MigrationReport,
-    PlanEngine, PostCopy, PreCopy, StopAndCopy, Transport,
-};
-use rvisor_net::{Link, VirtualSwitch};
+use rvisor_migrate::{DirtySource, MigrationPlan, MigrationReport, PlanEngine, Transport};
+use rvisor_net::VirtualSwitch;
 use rvisor_obs::Trace;
 use rvisor_snapshot::{SnapshotId, SnapshotStore};
 use rvisor_types::{ByteSize, Error, Nanoseconds, Result, VmId};
 
 use crate::config::VmConfig;
 use crate::vm::{Vm, VmLifecycle};
-
-/// Which migration engine [`Vmm::migrate_to`] should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationOutcome {
-    /// Pause, copy, resume (cold migration).
-    StopAndCopy,
-    /// Iterative pre-copy (the default live migration).
-    PreCopy,
-    /// Post-copy with demand paging.
-    PostCopy,
-}
 
 /// A live-migration dirty source backed by actually running the source VM.
 ///
@@ -338,102 +324,28 @@ impl Vmm {
         manager
     }
 
-    /// Migrate a VM to another host's manager over `link` with the default
-    /// migration configuration.
+    /// Live-migrate VM `id` to `destination` as `plan` says, streaming it in
+    /// the versioned wire format over `transport` — a
+    /// [`LoopbackTransport`](rvisor_migrate::LoopbackTransport) over a
+    /// [`Link`](rvisor_net::Link) for a same-switch move, or a
+    /// [`FabricTransport`](rvisor_migrate::FabricTransport) so the migration
+    /// contends with every other stream on a shared fabric (what the
+    /// orchestrator does for rebalance traffic). The engine, the data plane
+    /// and the fault-service discipline are chosen as
+    /// [`rvisor_migrate::migrate`] documents; spans go to `trace`.
     ///
-    /// On success the VM exists (running) on `destination` with identical
-    /// memory and vCPU state, and has been destroyed here. The returned
-    /// report carries downtime/total-time/bytes as measured by the engine.
+    /// Pre-copy keeps the source guest running during its rounds (the pages
+    /// it writes become the next round's work, and the measured dirty rate
+    /// travels with the VM; see [`Vmm::observed_dirty_rate`]); the other
+    /// engines pause it first.
+    ///
+    /// The migration commits or rolls back. On success the VM exists on
+    /// `destination` (running, or halted if the guest halted mid-migration)
+    /// with identical memory and vCPU state, and has been destroyed here. On
+    /// any error the destination shell is destroyed and the source is
+    /// returned to the lifecycle state it had on entry, with every page it
+    /// had dirty still dirty; its memory bytes are only ever read.
     pub fn migrate_to(
-        &mut self,
-        id: VmId,
-        destination: &mut Vmm,
-        link: &mut Link,
-        outcome: MigrationOutcome,
-    ) -> Result<(VmId, MigrationReport)> {
-        self.migrate_to_with_config(id, destination, link, outcome, MigrationConfig::default())
-    }
-
-    /// Migrate a VM with an explicit [`MigrationConfig`] (round budgets,
-    /// dirty-set threshold, page compression).
-    ///
-    /// The migration is streamed in the versioned wire format over a
-    /// loopback transport timed by `link` — byte- and nanosecond-equivalent
-    /// to the direct in-memory engines, but exercising the full
-    /// encode/checksum/decode pipeline on every VM move.
-    pub fn migrate_to_with_config(
-        &mut self,
-        id: VmId,
-        destination: &mut Vmm,
-        link: &mut Link,
-        outcome: MigrationOutcome,
-        config: MigrationConfig,
-    ) -> Result<(VmId, MigrationReport)> {
-        let mut transport = LoopbackTransport::new(link);
-        self.migrate_to_over(id, destination, &mut transport, outcome, config)
-    }
-
-    /// Migrate a VM as a wire-format stream over an arbitrary
-    /// [`Transport`] — a [`LoopbackTransport`] for same-switch moves, or a
-    /// [`FabricTransport`](rvisor_migrate::FabricTransport) so the
-    /// migration contends with every other stream on a shared
-    /// [`Fabric`](rvisor_net::Fabric) (what the orchestrator does for
-    /// rebalance traffic).
-    ///
-    /// With `config.streams > 1` the migration runs through the pipelined,
-    /// multi-stream data plane (`rvisor_migrate::pipeline`): encode workers
-    /// shard the page-index space into fixed stripes while a sink thread
-    /// applies segments concurrently. The wire bytes, the destination
-    /// memory image and the [`MigrationReport`] are identical to the serial
-    /// stream — parallelism buys host wall-clock, not different results —
-    /// with one documented exception: under XBZRLE with a working set
-    /// larger than the cache, the per-stripe caches can make the pipelined
-    /// run send *fewer* bytes than serial (see the `pipeline` module docs).
-    pub fn migrate_to_over(
-        &mut self,
-        id: VmId,
-        destination: &mut Vmm,
-        transport: &mut dyn Transport,
-        outcome: MigrationOutcome,
-        config: MigrationConfig,
-    ) -> Result<(VmId, MigrationReport)> {
-        self.migrate_to_over_traced(id, destination, transport, outcome, config, &Trace::off())
-    }
-
-    /// [`Vmm::migrate_to_over`] with per-migration and per-round trace
-    /// spans emitted to `trace`; with [`Trace::off`] the two are identical.
-    ///
-    /// The `(outcome, config)` pair is lowered into a [`MigrationPlan`]
-    /// and executed by [`Vmm::migrate_to_planned_traced`]; the results are
-    /// identical because the lowering preserves every knob and defaults
-    /// the fault-service policy to the sweep-ordered reference.
-    pub fn migrate_to_over_traced(
-        &mut self,
-        id: VmId,
-        destination: &mut Vmm,
-        transport: &mut dyn Transport,
-        outcome: MigrationOutcome,
-        config: MigrationConfig,
-        trace: &Trace,
-    ) -> Result<(VmId, MigrationReport)> {
-        let engine = match outcome {
-            MigrationOutcome::StopAndCopy => PlanEngine::StopAndCopy,
-            MigrationOutcome::PreCopy => PlanEngine::PreCopy,
-            MigrationOutcome::PostCopy => PlanEngine::PostCopy,
-        };
-        self.migrate_to_planned_traced(id, destination, transport, &config.plan(engine), trace)
-    }
-
-    /// Migrate a VM under an explicit per-migration [`MigrationPlan`] —
-    /// the entry point the orchestrator's adaptive planner drives.
-    ///
-    /// Beyond [`Vmm::migrate_to_over_traced`] this honours the plan-only
-    /// knobs: [`FaultService::FaultLane`] routes post-copy demand faults
-    /// over a dedicated serial lane that overtakes the background sweep
-    /// (the lane *is* the second stream, so `streams` is ignored there),
-    /// and `compressors` sizes the decoupled compression stage of the
-    /// pipelined pre-copy data plane independently of `streams`.
-    pub fn migrate_to_planned_traced(
         &mut self,
         id: VmId,
         destination: &mut Vmm,
@@ -441,128 +353,32 @@ impl Vmm {
         plan: &MigrationPlan,
         trace: &Trace,
     ) -> Result<(VmId, MigrationReport)> {
-        let config = plan.config();
         let source_vm = self.vms.get_mut(&id).ok_or(Error::UnknownVm(id))?;
+        let entry_lifecycle = source_vm.lifecycle();
         // Build an identical, empty shell on the destination.
         let dest_id = destination.create_vm(source_vm.config().clone())?;
-        let pipelined = config.streams.get() > 1;
-        // The dirty rate this migration observes, if the engine measures one.
-        let mut observed_rate: Option<u64> = None;
-
-        let report = {
-            let dest_vm = destination.vm(dest_id)?;
-            let dest_memory = dest_vm.memory().clone();
-            match plan.engine {
-                PlanEngine::StopAndCopy => {
-                    if source_vm.lifecycle() == VmLifecycle::Running {
-                        source_vm.pause()?;
-                    }
-                    let states = source_vm.save_vcpu_states();
-                    if pipelined {
-                        StopAndCopy::migrate_pipelined_traced(
-                            source_vm.memory(),
-                            &dest_memory,
-                            &states,
-                            transport,
-                            &config,
-                            trace,
-                        )?
-                    } else {
-                        StopAndCopy::migrate_over_traced(
-                            source_vm.memory(),
-                            &dest_memory,
-                            &states,
-                            transport,
-                            trace,
-                        )?
+        let streamed = Self::stream_into(source_vm, destination, dest_id, transport, plan, trace);
+        let (report, observed_rate) = match streamed {
+            Ok(done) => done,
+            Err(e) => {
+                destination.destroy_vm(dest_id)?;
+                if plan.engine == PlanEngine::PreCopy {
+                    // The rounds drained the dirty bitmap the next
+                    // incremental snapshot reads; marking every page keeps
+                    // that snapshot complete.
+                    let memory = source_vm.memory();
+                    for page in 0..memory.total_pages() {
+                        memory.mark_dirty_page(page);
                     }
                 }
-                PlanEngine::PreCopy => {
-                    let memory = source_vm.memory().clone();
-                    let states_placeholder = source_vm.save_vcpu_states();
-                    let mut dirtier = RunningVmDirtier::new(source_vm);
-
-                    let report = if pipelined {
-                        PreCopy::migrate_pipelined_planned_traced(
-                            &memory,
-                            &dest_memory,
-                            &states_placeholder,
-                            transport,
-                            &mut dirtier,
-                            plan,
-                            trace,
-                        )?
-                    } else {
-                        PreCopy::migrate_over_traced(
-                            &memory,
-                            &dest_memory,
-                            &states_placeholder,
-                            transport,
-                            &mut dirtier,
-                            &config,
-                            trace,
-                        )?
-                    };
-                    let rate = dirtier.dirty_rate_bytes_per_sec();
-                    if rate > 0 {
-                        observed_rate = Some(rate);
-                    }
-                    report
+                if entry_lifecycle == VmLifecycle::Running
+                    && source_vm.lifecycle() == VmLifecycle::Paused
+                {
+                    source_vm.resume()?;
                 }
-                PlanEngine::PostCopy => {
-                    if source_vm.lifecycle() == VmLifecycle::Running {
-                        source_vm.pause()?;
-                    }
-                    let states = source_vm.save_vcpu_states();
-                    match plan.fault_service {
-                        FaultService::FaultLane => PostCopy::migrate_fault_lane_over_traced(
-                            source_vm.memory(),
-                            &dest_memory,
-                            &states,
-                            transport,
-                            &config,
-                            trace,
-                        )?,
-                        FaultService::Sweep if pipelined => PostCopy::migrate_pipelined_traced(
-                            source_vm.memory(),
-                            &dest_memory,
-                            &states,
-                            transport,
-                            &config,
-                            trace,
-                        )?,
-                        FaultService::Sweep => PostCopy::migrate_over_traced(
-                            source_vm.memory(),
-                            &dest_memory,
-                            &states,
-                            transport,
-                            &config,
-                            trace,
-                        )?,
-                    }
-                }
+                return Err(e);
             }
         };
-
-        // The stop phase of every engine ends with the source paused; capture
-        // the final vCPU state now and hand it to the destination.
-        let source_vm = self.vms.get_mut(&id).ok_or(Error::UnknownVm(id))?;
-        if source_vm.lifecycle() == VmLifecycle::Running {
-            source_vm.pause()?;
-        }
-        let source_halted = source_vm.lifecycle() == VmLifecycle::Halted;
-        let final_states = source_vm.save_vcpu_states();
-        // Pre-copy moved memory while the source kept running; its final dirty
-        // residue was already copied by the engine's stop phase, but any pages
-        // dirtied after the engine returned (there are none, because we paused)
-        // would be lost — pausing first is what guarantees correctness here.
-        let dest_vm = destination.vm_mut(dest_id)?;
-        dest_vm.restore_vcpu_states(&final_states)?;
-        if source_halted {
-            dest_vm.mark_halted()?;
-        } else {
-            dest_vm.mark_running()?;
-        }
 
         // The observation travels with the VM: a fresh measurement from this
         // migration wins, otherwise whatever an earlier migration recorded
@@ -571,21 +387,97 @@ impl Vmm {
         if let Some(rate) = observed_rate.or(carried) {
             destination.observed_dirty_rates.insert(dest_id, rate);
         }
-
         self.destroy_vm(id)?;
         Ok((dest_id, report))
+    }
+
+    /// The fallible part of [`Vmm::migrate_to`]: stream `source_vm` into the
+    /// shell `dest_id` and hand the final vCPU state over. Leaves the source
+    /// paused (or halted) and returns the report with the dirty rate the
+    /// migration observed, if any.
+    fn stream_into(
+        source_vm: &mut Vm,
+        destination: &mut Vmm,
+        dest_id: VmId,
+        transport: &mut dyn Transport,
+        plan: &MigrationPlan,
+        trace: &Trace,
+    ) -> Result<(MigrationReport, Option<u64>)> {
+        let dest_memory = destination.vm(dest_id)?.memory().clone();
+        if plan.engine != PlanEngine::PreCopy && source_vm.lifecycle() == VmLifecycle::Running {
+            source_vm.pause()?;
+        }
+        let states = source_vm.save_vcpu_states();
+        let memory = source_vm.memory().clone();
+        let mut dirtier = RunningVmDirtier::new(source_vm);
+        let report = rvisor_migrate::migrate(
+            &memory,
+            &dest_memory,
+            &states,
+            transport,
+            &mut dirtier,
+            plan,
+            trace,
+        )?;
+        // Only pre-copy runs the guest, so only pre-copy measures a rate.
+        let observed_rate = Some(dirtier.dirty_rate_bytes_per_sec()).filter(|&rate| rate > 0);
+
+        // The stop phase of every engine ends with the source paused; capture
+        // the final vCPU state now and hand it to the destination. Pausing
+        // first is what guarantees no page dirtied after the engine's stop
+        // phase is lost.
+        if source_vm.lifecycle() == VmLifecycle::Running {
+            source_vm.pause()?;
+        }
+        let final_states = source_vm.save_vcpu_states();
+        let dest_vm = destination.vm_mut(dest_id)?;
+        dest_vm.restore_vcpu_states(&final_states)?;
+        if source_vm.lifecycle() == VmLifecycle::Halted {
+            dest_vm.mark_halted()?;
+        } else {
+            dest_vm.mark_running()?;
+        }
+        Ok((report, observed_rate))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvisor_net::LinkModel;
+    use rvisor_migrate::{FaultService, LoopbackTransport, PageCompression};
+    use rvisor_net::{Link, LinkModel};
     use rvisor_types::GuestAddress;
     use rvisor_vcpu::{Workload, WorkloadKind};
+    use std::num::NonZeroUsize;
+
+    const ENGINES: [PlanEngine; 3] = [
+        PlanEngine::StopAndCopy,
+        PlanEngine::PreCopy,
+        PlanEngine::PostCopy,
+    ];
 
     fn config(name: &str) -> VmConfig {
         VmConfig::new(name).with_memory(ByteSize::mib(4))
+    }
+
+    /// The default plan for `engine`.
+    fn plan(engine: PlanEngine) -> MigrationPlan {
+        MigrationPlan {
+            engine,
+            ..Default::default()
+        }
+    }
+
+    /// Migrate `id` over a fresh gigabit loopback, tracing off.
+    fn migrate_over_loopback(
+        source: &mut Vmm,
+        id: VmId,
+        destination: &mut Vmm,
+        plan: &MigrationPlan,
+    ) -> Result<(VmId, MigrationReport)> {
+        let mut link = Link::new(LinkModel::gigabit());
+        let mut transport = LoopbackTransport::new(&mut link);
+        source.migrate_to(id, destination, &mut transport, plan, &Trace::off())
     }
 
     #[test]
@@ -650,10 +542,9 @@ mod tests {
         assert!(vmm.vm_mut(ghost).is_err());
         assert!(vmm.snapshot_vm(ghost, "x").is_err());
         let mut other = Vmm::new("other");
-        let mut link = Link::new(LinkModel::gigabit());
-        assert!(vmm
-            .migrate_to(ghost, &mut other, &mut link, MigrationOutcome::PreCopy)
-            .is_err());
+        assert!(
+            migrate_over_loopback(&mut vmm, ghost, &mut other, &plan(PlanEngine::PreCopy)).is_err()
+        );
     }
 
     #[test]
@@ -749,18 +640,12 @@ mod tests {
 
     #[test]
     fn migration_moves_memory_and_state() {
-        for outcome in [
-            MigrationOutcome::StopAndCopy,
-            MigrationOutcome::PreCopy,
-            MigrationOutcome::PostCopy,
-        ] {
+        for engine in ENGINES {
             let (mut source, id) = loaded_vmm_with_marker();
             let source_checksum_before = source.vm(id).unwrap().memory().checksum();
             let mut dest = Vmm::new("dest");
-            let mut link = Link::new(LinkModel::gigabit());
-            let (dest_id, report) = source
-                .migrate_to(id, &mut dest, &mut link, outcome)
-                .unwrap();
+            let (dest_id, report) =
+                migrate_over_loopback(&mut source, id, &mut dest, &plan(engine)).unwrap();
 
             // Source is gone, destination runs with identical memory.
             assert!(source.vm(id).is_err());
@@ -770,7 +655,7 @@ mod tests {
                 dest_vm.memory().read_u64(GuestAddress(0x2000)).unwrap(),
                 0xfeedface
             );
-            if outcome != MigrationOutcome::PreCopy {
+            if engine != PlanEngine::PreCopy {
                 // For the paused engines the memory image is bit-identical to the
                 // pre-migration source.
                 assert_eq!(dest_vm.memory().checksum(), source_checksum_before);
@@ -821,19 +706,15 @@ mod tests {
 
     #[test]
     fn compressed_migration_config_is_honoured_by_the_manager() {
-        use rvisor_migrate::PageCompression;
-
         let run = |compression: PageCompression| {
             let (mut source, id) = loaded_vmm_with_marker();
             let mut dest = Vmm::new("dest");
-            let mut link = Link::new(LinkModel::gigabit());
-            let config = MigrationConfig {
+            let plan = MigrationPlan {
                 compression,
                 ..Default::default()
             };
-            let (dest_id, report) = source
-                .migrate_to_with_config(id, &mut dest, &mut link, MigrationOutcome::PreCopy, config)
-                .unwrap();
+            let (dest_id, report) =
+                migrate_over_loopback(&mut source, id, &mut dest, &plan).unwrap();
             let dest_vm = dest.vm(dest_id).unwrap();
             assert_eq!(
                 dest_vm.memory().read_u64(GuestAddress(0x2000)).unwrap(),
@@ -849,32 +730,23 @@ mod tests {
 
     #[test]
     fn multi_stream_migration_matches_the_serial_stream() {
-        use std::num::NonZeroUsize;
-
-        for outcome in [
-            MigrationOutcome::StopAndCopy,
-            MigrationOutcome::PreCopy,
-            MigrationOutcome::PostCopy,
-        ] {
+        for engine in ENGINES {
             let run = |streams: usize| {
                 let (mut source, id) = loaded_vmm_with_marker();
                 let mut dest = Vmm::new("dest");
-                let mut link = Link::new(LinkModel::gigabit());
-                let config = MigrationConfig {
+                let plan = MigrationPlan {
                     streams: NonZeroUsize::new(streams).unwrap(),
-                    ..Default::default()
+                    ..plan(engine)
                 };
-                let mut transport = rvisor_migrate::LoopbackTransport::new(&mut link);
-                let (dest_id, report) = source
-                    .migrate_to_over(id, &mut dest, &mut transport, outcome, config)
-                    .unwrap();
+                let (dest_id, report) =
+                    migrate_over_loopback(&mut source, id, &mut dest, &plan).unwrap();
                 let checksum = dest.vm(dest_id).unwrap().memory().checksum();
                 (report, checksum)
             };
             let (serial, serial_sum) = run(1);
             let (parallel, parallel_sum) = run(4);
-            assert_eq!(parallel, serial, "{outcome:?}");
-            assert_eq!(parallel_sum, serial_sum, "{outcome:?}: memory diverged");
+            assert_eq!(parallel, serial, "{engine:?}");
+            assert_eq!(parallel_sum, serial_sum, "{engine:?}: memory diverged");
         }
     }
 
@@ -896,10 +768,8 @@ mod tests {
         // A pre-copy migration measures the guest's dirty rate and records
         // it on the destination under the VM's new id.
         let mut hop1 = Vmm::new("hop1");
-        let mut link = Link::new(LinkModel::gigabit());
-        let (id1, _) = source
-            .migrate_to(id, &mut hop1, &mut link, MigrationOutcome::PreCopy)
-            .unwrap();
+        let (id1, _) =
+            migrate_over_loopback(&mut source, id, &mut hop1, &plan(PlanEngine::PreCopy)).unwrap();
         let rate = hop1
             .observed_dirty_rate(id1)
             .expect("pre-copy must observe a dirty-hot guest");
@@ -909,15 +779,11 @@ mod tests {
         // sweep = 2 rounds) and carries the earlier observation forward
         // even though post-copy measures nothing itself.
         let mut hop2 = Vmm::new("hop2");
-        let mut link = Link::new(LinkModel::gigabit());
-        let mut transport = LoopbackTransport::new(&mut link);
         let plan = MigrationPlan::builder(PlanEngine::PostCopy)
             .fault_service(FaultService::FaultLane)
             .build()
             .unwrap();
-        let (id2, report) = hop1
-            .migrate_to_planned_traced(id1, &mut hop2, &mut transport, &plan, &Trace::off())
-            .unwrap();
+        let (id2, report) = migrate_over_loopback(&mut hop1, id1, &mut hop2, &plan).unwrap();
         assert_eq!(report.rounds, 2, "fault lane + background sweep");
         assert!(report.remote_faults > 0);
         assert_eq!(hop2.observed_dirty_rate(id2), Some(rate));
@@ -928,18 +794,129 @@ mod tests {
     fn precopy_downtime_beats_stop_and_copy_at_the_manager_level() {
         let (mut s1, id1) = loaded_vmm_with_marker();
         let mut d1 = Vmm::new("d1");
-        let mut link1 = Link::new(LinkModel::gigabit());
-        let (_, pre) = s1
-            .migrate_to(id1, &mut d1, &mut link1, MigrationOutcome::PreCopy)
-            .unwrap();
+        let (_, pre) =
+            migrate_over_loopback(&mut s1, id1, &mut d1, &plan(PlanEngine::PreCopy)).unwrap();
 
         let (mut s2, id2) = loaded_vmm_with_marker();
         let mut d2 = Vmm::new("d2");
-        let mut link2 = Link::new(LinkModel::gigabit());
-        let (_, stop) = s2
-            .migrate_to(id2, &mut d2, &mut link2, MigrationOutcome::StopAndCopy)
-            .unwrap();
+        let (_, stop) =
+            migrate_over_loopback(&mut s2, id2, &mut d2, &plan(PlanEngine::StopAndCopy)).unwrap();
 
         assert!(pre.downtime <= stop.downtime);
+    }
+
+    /// A loopback transport whose `fail_at`-th transmission (1-based, of any
+    /// kind) fails, counting every transmission it sees.
+    struct FailingTransport<'l> {
+        inner: LoopbackTransport<'l>,
+        fail_at: u64,
+        transmissions: u64,
+    }
+
+    impl FailingTransport<'_> {
+        fn transmit(&mut self) -> Result<()> {
+            self.transmissions += 1;
+            if self.transmissions == self.fail_at {
+                return Err(Error::Migration("injected transport failure".into()));
+            }
+            Ok(())
+        }
+    }
+
+    impl Transport for FailingTransport<'_> {
+        fn free_at(&self) -> Nanoseconds {
+            self.inner.free_at()
+        }
+        fn send(&mut self, frame: &[u8]) -> Result<()> {
+            self.inner.send(frame)
+        }
+        fn send_built(&mut self, build: &mut dyn FnMut(&mut Vec<u8>)) -> Result<()> {
+            self.inner.send_built(build)
+        }
+        fn deliver(&mut self, now: Nanoseconds) -> Result<(Nanoseconds, Vec<u8>)> {
+            self.transmit()?;
+            self.inner.deliver(now)
+        }
+        fn transmit_bytes(&mut self, now: Nanoseconds, bytes: u64) -> Result<Nanoseconds> {
+            self.transmit()?;
+            self.inner.transmit_bytes(now, bytes)
+        }
+        fn transmit_striped(&mut self, now: Nanoseconds, stripes: &[u64]) -> Result<Nanoseconds> {
+            self.transmit()?;
+            self.inner.transmit_striped(now, stripes)
+        }
+        fn recycle(&mut self, buf: Vec<u8>) {
+            self.inner.recycle(buf)
+        }
+        fn latency(&self) -> Nanoseconds {
+            self.inner.latency()
+        }
+        fn transfer_time(&self, bytes: u64) -> Nanoseconds {
+            self.inner.transfer_time(bytes)
+        }
+        fn bytes_sent(&self) -> u64 {
+            self.inner.bytes_sent()
+        }
+    }
+
+    fn memory_bytes(vm: &Vm) -> Vec<u8> {
+        let mut out = Vec::new();
+        for r in vm.memory().regions() {
+            r.with_bytes(|b| out.extend_from_slice(b));
+        }
+        out
+    }
+
+    #[test]
+    fn failed_migration_rolls_back_for_every_engine_and_stream_count() {
+        for engine in ENGINES {
+            for streams in [1usize, 4] {
+                let plan = MigrationPlan {
+                    streams: NonZeroUsize::new(streams).unwrap(),
+                    ..plan(engine)
+                };
+                let run = |source: &mut Vmm, id: VmId, dest: &mut Vmm, fail_at: u64| {
+                    let mut link = Link::new(LinkModel::gigabit());
+                    let mut transport = FailingTransport {
+                        inner: LoopbackTransport::new(&mut link),
+                        fail_at,
+                        transmissions: 0,
+                    };
+                    let out = source.migrate_to(id, dest, &mut transport, &plan, &Trace::off());
+                    (out, transport.transmissions)
+                };
+                // A clean run counts the transmissions there are to fail.
+                let (mut source, id) = loaded_vmm_with_marker();
+                let (ok, total) = run(&mut source, id, &mut Vmm::new("dest"), 0);
+                ok.unwrap();
+                assert!(total >= 3, "{engine:?}: hello, a round and the state");
+
+                for fail_at in 1..=total {
+                    let (mut source, id) = loaded_vmm_with_marker();
+                    let lifecycle = source.lifecycle_of(id).unwrap();
+                    assert_eq!(lifecycle, VmLifecycle::Running);
+                    let bytes = memory_bytes(source.vm(id).unwrap());
+                    let dirty = source.vm(id).unwrap().memory().dirty_pages();
+                    assert!(!dirty.is_empty(), "the marker write dirtied a page");
+                    let mut dest = Vmm::new("dest");
+                    let (out, _) = run(&mut source, id, &mut dest, fail_at);
+                    let case = format!("{engine:?}, {streams} streams, transmission {fail_at}");
+                    assert!(out.is_err(), "{case}: the injected failure must surface");
+                    assert_eq!(dest.vm_count(), 0, "{case}: the shell leaked");
+                    assert_eq!(source.lifecycle_of(id).unwrap(), lifecycle, "{case}");
+                    assert_eq!(memory_bytes(source.vm(id).unwrap()), bytes, "{case}");
+                    let still = source.vm(id).unwrap().memory().dirty_pages();
+                    assert!(
+                        dirty.iter().all(|p| still.contains(p)),
+                        "{case}: dirty bits lost"
+                    );
+                    // Nothing was left half-done: the same VM migrates cleanly.
+                    let (retry, _) = run(&mut source, id, &mut dest, 0);
+                    retry.unwrap();
+                    assert_eq!(dest.vm_count(), 1, "{case}");
+                    assert_eq!(source.vm_count(), 0, "{case}");
+                }
+            }
+        }
     }
 }

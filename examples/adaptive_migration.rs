@@ -26,10 +26,11 @@
 
 use virtlab::memory::GuestMemory;
 use virtlab::migrate::{
-    sweep_mean_fault_latency, wire, MigrationConfig, PageCompression, PostCopy,
+    migrate, sweep_mean_fault_latency, wire, FaultService, IdleDirtier, LoopbackTransport,
+    MigrationPlan, PageCompression, PlanEngine,
 };
 use virtlab::net::{Link, LinkModel};
-use virtlab::obs::{Align, TextTable};
+use virtlab::obs::{Align, TextTable, Trace};
 use virtlab::orch::{
     EngineChoice, MigrationPlanner, OrchParams, Orchestrator, Scenario, ScenarioConfig,
     SpreadRebalance, WorkloadShape,
@@ -47,8 +48,7 @@ fn main() {
 fn fault_lane_vs_sweep() {
     println!("-- post-copy demand-fault service: sweep vs fault lane (2 MiB guest) --\n");
     let pages = 512u64; // 2 MiB
-    let config = MigrationConfig::default();
-    let run = |lane: bool| {
+    let run = |fault_service: FaultService| {
         let src = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
         let dst = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
         for p in 0..pages {
@@ -56,17 +56,32 @@ fn fault_lane_vs_sweep() {
                 .unwrap();
         }
         let mut link = Link::new(LinkModel::gigabit());
-        let mut transport = virtlab::migrate::LoopbackTransport::new(&mut link);
+        let mut transport = LoopbackTransport::new(&mut link);
+        let plan = MigrationPlan {
+            engine: PlanEngine::PostCopy,
+            fault_service,
+            ..Default::default()
+        };
         let vcpus = [VcpuState::default()];
-        if lane {
-            PostCopy::migrate_fault_lane_over(&src, &dst, &vcpus, &mut transport, &config).unwrap()
-        } else {
-            PostCopy::migrate_over(&src, &dst, &vcpus, &mut transport, &config).unwrap()
-        }
+        let trace = Trace::off();
+        migrate(
+            &src,
+            &dst,
+            &vcpus,
+            &mut transport,
+            &mut IdleDirtier,
+            &plan,
+            &trace,
+        )
+        .unwrap()
     };
-    let sweep = run(false);
-    let lane = run(true);
-    assert_eq!(run(true), lane, "fault-lane migration must replay ==");
+    let sweep = run(FaultService::Sweep);
+    let lane = run(FaultService::FaultLane);
+    assert_eq!(
+        run(FaultService::FaultLane),
+        lane,
+        "fault-lane migration must replay =="
+    );
     assert_eq!(lane.downtime, sweep.downtime, "identical pause either way");
     assert_eq!(lane.remote_faults, sweep.remote_faults);
     assert!(lane.total_time < sweep.total_time);

@@ -7,10 +7,13 @@
 //! ```
 
 use virtlab::memory::GuestMemory;
-use virtlab::migrate::{ConstantRateDirtier, MigrationConfig, PostCopy, PreCopy, StopAndCopy};
+use virtlab::migrate::{
+    ConstantRateDirtier, LoopbackTransport, MigrationConfig, MigrationPlan, PostCopy, PreCopy,
+    StopAndCopy,
+};
 use virtlab::net::{Link, LinkModel};
+use virtlab::obs::Trace;
 use virtlab::vcpu::{VcpuState, Workload, WorkloadKind};
-use virtlab::vmm::MigrationOutcome;
 use virtlab::{ByteSize, Vmm};
 
 fn engines_comparison() {
@@ -73,8 +76,15 @@ fn manager_level_migration() {
     }
 
     let mut link = Link::new(LinkModel::gigabit());
+    let mut transport = LoopbackTransport::new(&mut link);
     let (new_id, report) = source_host
-        .migrate_to(vm_id, &mut dest_host, &mut link, MigrationOutcome::PreCopy)
+        .migrate_to(
+            vm_id,
+            &mut dest_host,
+            &mut transport,
+            &MigrationPlan::default(),
+            &Trace::off(),
+        )
         .expect("migration");
 
     let migrated = dest_host.vm(new_id).unwrap();

@@ -22,13 +22,15 @@
 //! cargo run --release --example observability
 //! ```
 
+use virtlab::cluster::HostSpec;
 use virtlab::obs::{
     chrome_trace_json, validate_json, Align, EventKind, Recorder, TextTable, Trace,
 };
 use virtlab::orch::{
-    run_datacenter, run_datacenter_traced, OrchParams, Scenario, ScenarioConfig,
+    run_datacenter, OrchParams, OrchReport, Orchestrator, Scenario, ScenarioConfig,
     ThresholdRebalance, WorkloadShape,
 };
+use virtlab::types::HostId;
 
 const HOSTS: usize = 32;
 const VM_ARRIVALS: usize = 500;
@@ -40,6 +42,20 @@ fn scenario() -> Scenario {
             .with_host_failures(2),
     )
     .expect("scenario config is valid")
+}
+
+/// The day `run_datacenter` runs, with `trace` attached to every layer
+/// (event loop, policy decisions, cluster migrations, fabric transfers, DR
+/// backups).
+fn traced_day(params: OrchParams, scenario: &Scenario, trace: Trace) -> OrchReport {
+    let hosts = (0..HOSTS)
+        .map(|i| HostSpec::modern_server(HostId::new(i as u32)))
+        .collect();
+    let mut orch = Orchestrator::new(hosts, params, Box::new(ThresholdRebalance))
+        .expect("the parameters are valid");
+    orch.set_trace(trace);
+    orch.run(scenario)
+        .expect("the traced day runs to completion")
 }
 
 /// Count recorded events on `track` named `name`.
@@ -71,14 +87,7 @@ fn main() {
 
     // The same day with a recording sink attached to every layer.
     let (trace, recorder) = Trace::recording();
-    let traced = run_datacenter_traced(
-        HOSTS,
-        params,
-        Box::new(ThresholdRebalance),
-        &scenario,
-        trace,
-    )
-    .expect("the traced day runs to completion");
+    let traced = traced_day(params, &scenario, trace);
 
     // 1. Tracing is a pure observer.
     assert_eq!(
@@ -89,14 +98,7 @@ fn main() {
 
     // 2. Same-seed replays emit byte-identical traces.
     let (replay_trace, replay_recorder) = Trace::recording();
-    let replayed = run_datacenter_traced(
-        HOSTS,
-        params,
-        Box::new(ThresholdRebalance),
-        &scenario,
-        replay_trace,
-    )
-    .expect("the replayed traced day runs to completion");
+    let replayed = traced_day(params, &scenario, replay_trace);
     assert_eq!(traced, replayed, "same seed must replay identically");
     let json = chrome_trace_json(recorder.borrow().events());
     let replay_json = chrome_trace_json(replay_recorder.borrow().events());

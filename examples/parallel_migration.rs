@@ -2,15 +2,15 @@
 //!
 //! Proves the three claims of the parallel data plane end to end:
 //!
-//! 1. **Equivalence** — over a loopback transport, the pipelined engine is
-//!    `MigrationReport`-`==` and destination-byte-identical to the serial
-//!    streamed engine at every stream count, for all three engines.
+//! 1. **Equivalence** — over a loopback transport, the pipelined data plane
+//!    is `MigrationReport`-`==` and destination-byte-identical to the serial
+//!    plane at every stream count, for all three engines.
 //! 2. **Honest network model** — on the shared fabric, multi-stream runs
 //!    move the same payload bytes and are never *faster* in simulated time
 //!    (fair-share chunk streams; each stream pays its own MTU framing).
 //! 3. **Determinism** — same-seed multi-stream runs and a whole
 //!    `migration_streams = 4` datacenter day replay `==`; thread
-//!    scheduling inside the engine can never leak into the simulated
+//!    scheduling inside the pipeline can never leak into the simulated
 //!    clock. CI runs this binary twice and byte-diffs the output.
 //!
 //! ```text
@@ -21,11 +21,11 @@ use std::num::NonZeroUsize;
 
 use virtlab::memory::GuestMemory;
 use virtlab::migrate::{
-    ConstantRateDirtier, FabricTransport, IdleDirtier, LoopbackTransport, MigrationConfig,
-    MigrationReport, PostCopy, PreCopy, StopAndCopy,
+    migrate, ConstantRateDirtier, DirtySource, FabricTransport, IdleDirtier, LoopbackTransport,
+    MigrationPlan, MigrationReport, PlanEngine, Transport,
 };
 use virtlab::net::{Fabric, FabricParams, Link, LinkModel};
-use virtlab::obs::{Align, TextTable};
+use virtlab::obs::{Align, TextTable, Trace};
 use virtlab::orch::{run_datacenter, OrchParams, Scenario, ScenarioConfig, WorkloadShape};
 use virtlab::types::PAGE_SIZE;
 use virtlab::vcpu::VcpuState;
@@ -51,42 +51,38 @@ fn memories() -> (GuestMemory, GuestMemory) {
     (src, dst)
 }
 
-fn loopback(engine: usize, n_streams: usize) -> (MigrationReport, u64) {
+/// One migration of `source` through the plan-driven entry point, tracing
+/// off: serial for one stream, pipelined for more.
+fn run(
+    source: &GuestMemory,
+    dest: &GuestMemory,
+    transport: &mut dyn Transport,
+    dirtier: &mut dyn DirtySource,
+    plan: &MigrationPlan,
+) -> MigrationReport {
+    let vcpus = [VcpuState::default()];
+    migrate(
+        source,
+        dest,
+        &vcpus,
+        transport,
+        dirtier,
+        plan,
+        &Trace::off(),
+    )
+    .unwrap()
+}
+
+fn loopback(engine: PlanEngine, n_streams: usize) -> (MigrationReport, u64) {
     let (src, dst) = memories();
     let mut link = Link::new(LinkModel::gigabit());
     let mut transport = LoopbackTransport::new(&mut link);
-    let vcpus = [VcpuState::default()];
-    let config = MigrationConfig {
-        streams: streams(n_streams.max(1)),
+    let plan = MigrationPlan {
+        engine,
+        streams: streams(n_streams),
         ..Default::default()
     };
-    let report = match (engine, n_streams) {
-        // n_streams == 0 encodes "the serial reference path".
-        (0, 0) => StopAndCopy::migrate_over(&src, &dst, &vcpus, &mut transport).unwrap(),
-        (0, _) => {
-            StopAndCopy::migrate_pipelined(&src, &dst, &vcpus, &mut transport, &config).unwrap()
-        }
-        (1, 0) => PreCopy::migrate_over(
-            &src,
-            &dst,
-            &vcpus,
-            &mut transport,
-            &mut IdleDirtier,
-            &config,
-        )
-        .unwrap(),
-        (1, _) => PreCopy::migrate_pipelined(
-            &src,
-            &dst,
-            &vcpus,
-            &mut transport,
-            &mut IdleDirtier,
-            &config,
-        )
-        .unwrap(),
-        (_, 0) => PostCopy::migrate_over(&src, &dst, &vcpus, &mut transport, &config).unwrap(),
-        (_, _) => PostCopy::migrate_pipelined(&src, &dst, &vcpus, &mut transport, &config).unwrap(),
-    };
+    let report = run(&src, &dst, &mut transport, &mut IdleDirtier, &plan);
     (report, dst.checksum())
 }
 
@@ -102,19 +98,11 @@ fn fabric_pipelined(n_streams: usize, dirty: f64) -> (MigrationReport, u64, u64)
             0,
             PAGES,
         );
-        let config = MigrationConfig {
+        let plan = MigrationPlan {
             streams: streams(n_streams),
             ..Default::default()
         };
-        PreCopy::migrate_pipelined(
-            &src,
-            &dst,
-            &[VcpuState::default()],
-            &mut transport,
-            &mut dirtier,
-            &config,
-        )
-        .unwrap()
+        run(&src, &dst, &mut transport, &mut dirtier, &plan)
     };
     assert_eq!(
         src.checksum(),
@@ -126,10 +114,14 @@ fn fabric_pipelined(n_streams: usize, dirty: f64) -> (MigrationReport, u64, u64)
 
 fn main() {
     println!("-- pipelined engine == serial engine (8 MiB loopback) --\n");
-    let engine_names = ["stop-and-copy", "pre-copy", "post-copy"];
-    for (engine, name) in engine_names.iter().enumerate() {
-        let (serial, serial_sum) = loopback(engine, 0);
-        for n in [1usize, 2, 4, 8] {
+    for engine in [
+        PlanEngine::StopAndCopy,
+        PlanEngine::PreCopy,
+        PlanEngine::PostCopy,
+    ] {
+        let name = engine.name();
+        let (serial, serial_sum) = loopback(engine, 1);
+        for n in [2usize, 4, 8] {
             let (pipelined, pipelined_sum) = loopback(engine, n);
             assert_eq!(pipelined, serial, "{name} diverged at {n} streams");
             assert_eq!(pipelined_sum, serial_sum, "{name} memory at {n} streams");

@@ -17,10 +17,11 @@
 
 use virtlab::memory::GuestMemory;
 use virtlab::migrate::{
-    ConstantRateDirtier, FabricTransport, IdleDirtier, LoopbackTransport, MigrationConfig,
-    MigrationReport, PreCopy,
+    migrate, ConstantRateDirtier, FabricTransport, IdleDirtier, LoopbackTransport, MigrationPlan,
+    MigrationReport,
 };
 use virtlab::net::{Fabric, FabricParams, Link, LinkModel};
+use virtlab::obs::Trace;
 use virtlab::orch::{run_datacenter, OrchParams, Scenario, ScenarioConfig, WorkloadShape};
 use virtlab::types::PAGE_SIZE;
 use virtlab::vcpu::VcpuState;
@@ -51,13 +52,14 @@ fn migrate_loopback() -> (MigrationReport, u64) {
     let (src, dst) = memories();
     let mut link = Link::new(LinkModel::gigabit());
     let mut transport = LoopbackTransport::new(&mut link);
-    let report = PreCopy::migrate_over(
+    let report = migrate(
         &src,
         &dst,
         &[VcpuState::default()],
         &mut transport,
         &mut IdleDirtier,
-        &MigrationConfig::default(),
+        &MigrationPlan::default(),
+        &Trace::off(),
     )
     .unwrap();
     assert_eq!(region_checksum(&src), region_checksum(&dst));
@@ -70,13 +72,14 @@ fn migrate_fabric(params: FabricParams, dirty: f64) -> (MigrationReport, u64) {
     let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
     let mut dirtier =
         ConstantRateDirtier::from_bandwidth_fraction(params.nic_bytes_per_second, dirty, 0, PAGES);
-    let report = PreCopy::migrate_over(
+    let report = migrate(
         &src,
         &dst,
         &[VcpuState::default()],
         &mut transport,
         &mut dirtier,
-        &MigrationConfig::default(),
+        &MigrationPlan::default(),
+        &Trace::off(),
     )
     .unwrap();
     assert_eq!(
