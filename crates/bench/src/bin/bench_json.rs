@@ -40,11 +40,12 @@ use rvisor_migrate::{
 use rvisor_net::{ClosFabric, ClosParams, Fabric, FabricParams, Link, LinkModel};
 use rvisor_obs::{ArgValue, Args as TraceArgs, Trace, TraceSink};
 use rvisor_orch::{
-    run_datacenter, Cluster, EngineChoice, EventQueue, FabricTopology, OrchEvent, OrchParams,
-    RebalancePolicy, Scenario, ScenarioConfig, SpreadRebalance, ThresholdRebalance, VmFidelity,
-    WorkloadShape,
+    run_datacenter, BackupHandle, Cluster, EngineChoice, EventQueue, FabricTopology, OrchEvent,
+    OrchParams, RebalancePolicy, Scenario, ScenarioConfig, SpreadRebalance, ThresholdRebalance,
+    VmFidelity, WorkloadShape,
 };
-use rvisor_snapshot::{CasStore, VmSnapshot};
+use rvisor_snapshot::store::MAX_CHAIN_LENGTH;
+use rvisor_snapshot::{CasStore, ManifestId, SnapshotStore, VmSnapshot};
 use rvisor_types::{ByteSize, GuestAddress, HostId, Nanoseconds, VmId, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
 
@@ -421,6 +422,26 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
         record("memory_plane_harvest_copy_round", ns);
     }
 
+    // -- guest-memory checksum of a 256 KiB guest (the DR-day default):
+    //    cold rewrites one byte of every page first, so each call re-sums
+    //    every page through the word-wise kernel; warm has no writes in
+    //    between, so each call is served from the per-page cache --
+    {
+        let mem = GuestMemory::flat(ByteSize::kib(256)).unwrap();
+        let pages = mem.total_pages();
+        let mut round = 0u8;
+        let ns = measure(samples, || {
+            round = round.wrapping_add(1);
+            for p in 0..pages {
+                mem.with_page_mut(p, |b| b[0] = round).unwrap();
+            }
+            mem.checksum()
+        });
+        record("memory_checksum_256k_cold", ns);
+        let ns = measure(samples, || mem.checksum());
+        record("memory_checksum_256k_warm", ns);
+    }
+
     // -- orchestrator at warehouse scale: a 10k-host cluster with 30k
     //    modeled VMs, a handful of hosts run hot --
     {
@@ -604,6 +625,95 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
             run_datacenter(32, params, Box::new(ThresholdRebalance), &scenario).unwrap()
         });
         record("orch_day_dedup_32rack", ns);
+    }
+
+    // -- DR backup sweeps: one pass of `Cluster::backup` (plain full-copy
+    //    store) or `Cluster::backup_dedup` (content-addressed store) over
+    //    every VM of a 32-host, 256-VM cluster of live guests, each against
+    //    a store already warmed by one sweep. Storage stays bounded the way
+    //    the orchestrator bounds it: the plain path keeps the newest
+    //    snapshot per VM, the dedup path re-anchors a chain with a full
+    //    epoch every MAX_CHAIN_LENGTH sweeps and retires the old one. The
+    //    re-anchors are staggered across VMs so that every timed sweep
+    //    does the same mix of full and incremental epochs --
+    {
+        let sweep_cluster = || {
+            let params = OrchParams {
+                placement: PlacementStrategy::Spread,
+                topology: FabricTopology::Clos {
+                    racks: 32,
+                    spines: 4,
+                    leaf_uplink_bytes_per_second: 2_500_000_000,
+                    spine_bytes_per_second: 1_250_000_000,
+                    cross_rack_latency: Nanoseconds::from_micros(50),
+                },
+                ..Default::default()
+            };
+            let specs = (0..32)
+                .map(|i| HostSpec::modern_server(HostId::new(i)))
+                .collect();
+            let mut cluster = Cluster::new(specs, params).unwrap();
+            let mut names = Vec::new();
+            for host in 0..32u32 {
+                for slot in 0..8 {
+                    let name = format!("vm-{host}-{slot}");
+                    let spec = VmSpec::typical(&name, ServerRole::AppServer);
+                    cluster.deploy(HostId::new(host), spec).unwrap();
+                    names.push(name);
+                }
+            }
+            (cluster, names)
+        };
+        let sweep_interval = Nanoseconds::from_secs(600);
+
+        let (mut cluster, names) = sweep_cluster();
+        let mut store = SnapshotStore::new();
+        let mut newest: Vec<Option<BackupHandle>> = vec![None; names.len()];
+        let mut now = Nanoseconds::ZERO;
+        let mut sweep = |cluster: &mut Cluster, now: Nanoseconds| {
+            for (name, newest) in names.iter().zip(newest.iter_mut()) {
+                let (handle, _, _) = cluster.backup(name, "sweep", &mut store, now).unwrap();
+                if let Some(BackupHandle::Stored(old)) = newest.replace(handle) {
+                    store.delete(old).unwrap();
+                }
+            }
+        };
+        sweep(&mut cluster, now);
+        let ns = measure(samples, || {
+            now = now.saturating_add(sweep_interval);
+            sweep(&mut cluster, now)
+        });
+        record("orch_backup_sweep_plain_32rack", ns);
+
+        let (mut cluster, names) = sweep_cluster();
+        let mut cas = CasStore::new();
+        let mut chains: Vec<Vec<ManifestId>> = vec![Vec::new(); names.len()];
+        let mut now = Nanoseconds::ZERO;
+        let mut round = 0usize;
+        let mut sweep = |cluster: &mut Cluster, now: Nanoseconds| {
+            round += 1;
+            for (i, (name, chain)) in names.iter().zip(chains.iter_mut()).enumerate() {
+                let parent = chain
+                    .last()
+                    .copied()
+                    .filter(|_| !(round + i).is_multiple_of(MAX_CHAIN_LENGTH));
+                let b = cluster
+                    .backup_dedup(name, "sweep", &mut cas, parent, now)
+                    .unwrap();
+                if parent.is_none() {
+                    while let Some(old) = chain.pop() {
+                        cas.retire(old).unwrap();
+                    }
+                }
+                chain.push(b.manifest);
+            }
+        };
+        sweep(&mut cluster, now);
+        let ns = measure(samples, || {
+            now = now.saturating_add(sweep_interval);
+            sweep(&mut cluster, now)
+        });
+        record("orch_backup_sweep_dedup_32rack", ns);
     }
 
     // -- calendar event queue: 1M pushes at scattered times, then a full

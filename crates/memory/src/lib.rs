@@ -18,8 +18,12 @@
 //!   virtio queue implementation.
 //! * **Word-wise scan kernels** ([`scan`]) — zero-page detection and FNV-1a
 //!   fingerprinting over `u64` words, shared by the migration wire encoder,
-//!   KSM and zero-run coalescing (proptest-pinned equivalent to the
+//!   KSM and zero-run coalescing, plus the per-page term behind
+//!   [`GuestMemory::checksum`] (proptest-pinned equivalent to the
 //!   byte-wise loops they replaced).
+//! * **Incremental checksums** — each region caches one checksum term per
+//!   page, so [`GuestMemory::checksum`] costs O(pages written since the
+//!   last call).
 //!
 //! The design mirrors the `vm-memory` crate from the rust-vmm project but is
 //! self-contained and entirely safe Rust: regions are backed by

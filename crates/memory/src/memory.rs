@@ -430,20 +430,22 @@ impl GuestMemory {
         }
     }
 
-    /// A simple additive checksum of all guest memory.
+    /// A positional additive checksum of all guest memory; not
+    /// cryptographic.
     ///
-    /// Cheap enough for tests and migration verification; not cryptographic.
+    /// Exactly `Σ_regions Σ_i byte[i] · (i | 1)`, where `i` is the byte's
+    /// index relative to the start of its region, in wrapping `u64`
+    /// arithmetic. Each region caches one term per page and recomputes only
+    /// pages written since the last call, through any write path
+    /// (`write`, `fill`, the `_mut` views, `discard_page`). The cost is
+    /// therefore O(pages written since the last call); a fresh memory is
+    /// exact from the start, so a full recompute happens only when every
+    /// page is stale. Draining or clearing the dirty bitmap does not affect
+    /// it.
     pub fn checksum(&self) -> u64 {
         self.regions
             .iter()
-            .map(|r| {
-                r.with_bytes(|b| {
-                    b.iter().enumerate().fold(0u64, |acc, (i, &v)| {
-                        acc.wrapping_add((v as u64).wrapping_mul(i as u64 | 1))
-                    })
-                })
-            })
-            .fold(0u64, |a, b| a.wrapping_add(b))
+            .fold(0u64, |acc, r| acc.wrapping_add(r.checksum()))
     }
 }
 
@@ -684,6 +686,132 @@ mod tests {
         assert_eq!(mem.checksum(), c0);
     }
 
+    /// The byte-wise positional fold [`GuestMemory::checksum`] is defined
+    /// by; the cached, word-wise implementation must equal it exactly.
+    fn checksum_reference(mem: &GuestMemory) -> u64 {
+        mem.regions()
+            .iter()
+            .map(|r| {
+                r.with_bytes(|b| {
+                    b.iter().enumerate().fold(0u64, |acc, (i, &v)| {
+                        acc.wrapping_add((v as u64).wrapping_mul(i as u64 | 1))
+                    })
+                })
+            })
+            .fold(0u64, |a, b| a.wrapping_add(b))
+    }
+
+    /// Deterministic, non-uniform bytes so every lane and weight matters.
+    fn pattern(seed: u8, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed) ^ (i >> 8) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn checksum_matches_golden_value() {
+        let mem = two_region_memory();
+        for page in 0..mem.total_pages() {
+            mem.write_page(page, &pattern(page as u8, PAGE_SIZE as usize))
+                .unwrap();
+        }
+        mem.fill(GuestAddress(0x100000 + 100), 5000, 0xff).unwrap();
+        mem.discard_page(2).unwrap();
+        assert_eq!(checksum_reference(&mem), 0x0000_0007_1c48_74d8);
+        assert_eq!(mem.checksum(), 0x0000_0007_1c48_74d8);
+    }
+
+    #[test]
+    fn discard_page_restales_checksum_without_dirtying() {
+        let mem = two_region_memory();
+        mem.fill(GuestAddress(0x100000), PAGE_SIZE, 0x5a).unwrap();
+        let filled = mem.checksum();
+        mem.clear_dirty();
+        mem.discard_page(4).unwrap();
+        assert_eq!(mem.dirty_page_count(), 0);
+        assert_ne!(mem.checksum(), filled);
+        assert_eq!(mem.checksum(), checksum_reference(&mem));
+        assert_eq!(mem.checksum(), 0);
+    }
+
+    #[test]
+    fn draining_dirty_pages_does_not_hide_stale_checksum_terms() {
+        let mem = GuestMemory::flat(ByteSize::pages_of(130)).unwrap();
+        let before = mem.checksum();
+        for page in [0u64, 63, 64, 129] {
+            mem.write_page(page, &pattern(7, PAGE_SIZE as usize))
+                .unwrap();
+        }
+        mem.drain_dirty_pages_with(|_, _| Ok::<(), std::convert::Infallible>(()))
+            .unwrap();
+        mem.with_page_mut(5, |b| b[17] = 3).unwrap();
+        mem.clear_dirty();
+        assert_eq!(mem.dirty_page_count(), 0);
+        assert_ne!(mem.checksum(), before);
+        assert_eq!(mem.checksum(), checksum_reference(&mem));
+    }
+
+    #[test]
+    fn concurrent_checksum_readers_against_a_writer() {
+        let mem = GuestMemory::flat(ByteSize::pages_of(64)).unwrap();
+        // Readers and the writer leave the barrier together, so refreshes
+        // race with writes from the first iteration on.
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            let writer = mem.clone();
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..200u64 {
+                    let page = round * 13 % 64;
+                    let addr = GuestAddress(page * PAGE_SIZE + round % 4000);
+                    writer.write(addr, &pattern(round as u8, 96)).unwrap();
+                    writer
+                        .with_page_mut((page + 1) % 64, |b| b[0] ^= 1)
+                        .unwrap();
+                }
+            });
+            for _ in 0..2 {
+                let reader = mem.clone();
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..200 {
+                        std::hint::black_box(reader.checksum());
+                    }
+                });
+            }
+        });
+        assert_eq!(mem.checksum(), checksum_reference(&mem));
+    }
+
+    /// Apply one generated mutation or dirty-bitmap operation. Errors (a
+    /// span running into a hole or past a region end) are part of the
+    /// search: whatever bytes did change must be reflected.
+    fn apply_op(mem: &GuestMemory, (kind, page, offset, len, value): (u8, u64, u64, u64, u8)) {
+        let page = page % mem.total_pages();
+        let addr = mem
+            .page_address(page)
+            .unwrap()
+            .unchecked_add(offset % PAGE_SIZE);
+        let len = len % (3 * PAGE_SIZE);
+        match kind % 9 {
+            0 => drop(mem.write(addr, &pattern(value, len as usize))),
+            1 => drop(mem.fill(addr, len, value)),
+            2 => drop(mem.write_page(page, &pattern(value, PAGE_SIZE as usize))),
+            3 => drop(mem.with_page_mut(page, |b| {
+                b[(offset % PAGE_SIZE) as usize] = value;
+                b[PAGE_SIZE as usize - 1] ^= value;
+            })),
+            4 => drop(mem.with_slice_mut(addr, len, |b| b.fill(value))),
+            5 => drop(mem.discard_page(page)),
+            6 => mem.clear_dirty(),
+            7 => mem
+                .drain_dirty_pages_with(|_, _| Ok::<(), std::convert::Infallible>(()))
+                .unwrap(),
+            _ => drop(mem.checksum()),
+        }
+    }
+
     #[test]
     fn clone_shares_backing_store() {
         let mem = GuestMemory::flat(ByteSize::pages_of(1)).unwrap();
@@ -709,6 +837,34 @@ mod tests {
             let mem = two_region_memory();
             let addr = mem.page_address(page).unwrap();
             prop_assert_eq!(mem.address_page(addr).unwrap(), page);
+        }
+
+        /// The cached checksum equals the byte-wise fold after every step
+        /// of a random mix of writes, fills, page and slice views,
+        /// discards, dirty clears and dirty drains, on a single region, two
+        /// regions split by a hole, and two adjacent regions.
+        #[test]
+        fn cached_checksum_equals_reference_fold(
+            layout in 0u8..3,
+            steps in proptest::collection::vec(
+                proptest::collection::vec(
+                    (any::<u8>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u8>()),
+                    1..4,
+                ),
+                1..24,
+            ),
+        ) {
+            let mem = match layout {
+                0 => GuestMemory::flat(ByteSize::pages_of(70)).unwrap(),
+                1 => two_region_memory(),
+                _ => two_adjacent_regions(),
+            };
+            for step in steps {
+                for op in step {
+                    apply_op(&mem, op);
+                }
+                prop_assert_eq!(mem.checksum(), checksum_reference(&mem));
+            }
         }
 
         #[test]

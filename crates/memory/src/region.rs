@@ -4,6 +4,9 @@ use parking_lot::RwLock;
 use rvisor_types::{Error, GuestAddress, GuestRegion, Result, PAGE_SIZE};
 
 use crate::bitmap::DirtyBitmap;
+use crate::scan::checksum_term;
+
+const PAGE: usize = PAGE_SIZE as usize;
 
 /// A contiguous, heap-backed slab of guest physical memory.
 ///
@@ -13,8 +16,72 @@ use crate::bitmap::DirtyBitmap;
 #[derive(Debug)]
 pub struct MemoryRegion {
     range: GuestRegion,
-    data: RwLock<Box<[u8]>>,
+    data: RwLock<Contents>,
     dirty: DirtyBitmap,
+}
+
+/// A region's bytes and the per-page checksum cache derived from them.
+///
+/// Both live under the region's one lock, so every write site marks its
+/// pages stale inside the critical section that changes them, with plain
+/// stores. The stale set is separate from the [`DirtyBitmap`]: migration
+/// and backup drain dirty bits, which must not hide a changed checksum.
+#[derive(Debug)]
+struct Contents {
+    bytes: Box<[u8]>,
+    /// `checksum_term` of each page at its region-relative byte offset;
+    /// exact for every page whose `stale` bit is clear.
+    terms: Box<[u64]>,
+    /// One bit per page written since its term was last computed.
+    stale: Box<[u64]>,
+    /// Whether any `stale` bit is set.
+    any_stale: bool,
+    /// Wrapping sum of `terms`.
+    total: u64,
+}
+
+impl Contents {
+    /// All-zero bytes: every term (and the total) is zero, and exact.
+    fn zeroed(len: usize) -> Self {
+        let pages = len / PAGE;
+        Contents {
+            bytes: vec![0u8; len].into_boxed_slice(),
+            terms: vec![0u64; pages].into_boxed_slice(),
+            stale: vec![0u64; pages.div_ceil(64)].into_boxed_slice(),
+            any_stale: false,
+            total: 0,
+        }
+    }
+
+    /// Mark the pages touched by `[offset, offset + len)` stale.
+    fn mark_stale(&mut self, offset: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        for page in offset / PAGE..=(offset + len - 1) / PAGE {
+            self.stale[page / 64] |= 1 << (page % 64);
+        }
+        self.any_stale = true;
+    }
+
+    /// Recompute the stale pages' terms and return the region checksum.
+    fn refresh(&mut self) -> u64 {
+        if self.any_stale {
+            for word in 0..self.stale.len() {
+                let mut bits = std::mem::take(&mut self.stale[word]);
+                while bits != 0 {
+                    let page = word * 64 + bits.trailing_zeros() as usize;
+                    let off = page * PAGE;
+                    let term = checksum_term(off as u64, &self.bytes[off..off + PAGE]);
+                    self.total = self.total.wrapping_sub(self.terms[page]).wrapping_add(term);
+                    self.terms[page] = term;
+                    bits &= bits - 1;
+                }
+            }
+            self.any_stale = false;
+        }
+        self.total
+    }
 }
 
 impl MemoryRegion {
@@ -47,7 +114,7 @@ impl MemoryRegion {
         let pages = len / PAGE_SIZE;
         Ok(MemoryRegion {
             range: GuestRegion::new(start, len),
-            data: RwLock::new(vec![0u8; len as usize].into_boxed_slice()),
+            data: RwLock::new(Contents::zeroed(len as usize)),
             dirty: DirtyBitmap::new(pages),
         })
     }
@@ -93,7 +160,7 @@ impl MemoryRegion {
     pub fn read(&self, addr: GuestAddress, buf: &mut [u8]) -> Result<()> {
         let off = self.offset_of(addr, buf.len() as u64)?;
         let data = self.data.read();
-        buf.copy_from_slice(&data[off..off + buf.len()]);
+        buf.copy_from_slice(&data.bytes[off..off + buf.len()]);
         Ok(())
     }
 
@@ -102,7 +169,8 @@ impl MemoryRegion {
         let off = self.offset_of(addr, buf.len() as u64)?;
         {
             let mut data = self.data.write();
-            data[off..off + buf.len()].copy_from_slice(buf);
+            data.bytes[off..off + buf.len()].copy_from_slice(buf);
+            data.mark_stale(off, buf.len());
         }
         self.mark_dirty(off as u64, buf.len() as u64);
         Ok(())
@@ -113,7 +181,8 @@ impl MemoryRegion {
         let off = self.offset_of(addr, len)?;
         {
             let mut data = self.data.write();
-            data[off..off + len as usize].fill(value);
+            data.bytes[off..off + len as usize].fill(value);
+            data.mark_stale(off, len as usize);
         }
         self.mark_dirty(off as u64, len);
         Ok(())
@@ -138,7 +207,7 @@ impl MemoryRegion {
     pub fn with_page<R>(&self, page: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let off = self.page_offset(page)?;
         let data = self.data.read();
-        Ok(f(&data[off..off + PAGE_SIZE as usize]))
+        Ok(f(&data.bytes[off..off + PAGE]))
     }
 
     /// Run a closure over one page's bytes with write access, marking the
@@ -148,7 +217,8 @@ impl MemoryRegion {
         let off = self.page_offset(page)?;
         let out = {
             let mut data = self.data.write();
-            f(&mut data[off..off + PAGE_SIZE as usize])
+            data.mark_stale(off, PAGE);
+            f(&mut data.bytes[off..off + PAGE])
         };
         self.dirty.mark(page);
         Ok(out)
@@ -170,7 +240,7 @@ impl MemoryRegion {
     ) -> Result<R> {
         let off = self.offset_of(addr, len)?;
         let data = self.data.read();
-        Ok(f(&data[off..off + len as usize]))
+        Ok(f(&data.bytes[off..off + len as usize]))
     }
 
     /// Run a closure over an arbitrary span with write access, marking the
@@ -184,7 +254,8 @@ impl MemoryRegion {
         let off = self.offset_of(addr, len)?;
         let out = {
             let mut data = self.data.write();
-            f(&mut data[off..off + len as usize])
+            data.mark_stale(off, len as usize);
+            f(&mut data.bytes[off..off + len as usize])
         };
         self.mark_dirty(off as u64, len);
         Ok(out)
@@ -238,7 +309,7 @@ impl MemoryRegion {
                     break;
                 }
                 let off = (page * PAGE_SIZE) as usize;
-                if let Err(e) = f(page, &data[off..off + PAGE_SIZE as usize]) {
+                if let Err(e) = f(page, &data.bytes[off..off + PAGE]) {
                     if drain {
                         // Error-path undo: the erred page and the word's
                         // unvisited remainder stay dirty, so a retried
@@ -277,11 +348,12 @@ impl MemoryRegion {
     ///
     /// This models the balloon returning a page to the host: the page's
     /// contents are gone but the guest has promised not to read it, so there
-    /// is nothing for migration to copy.
+    /// is nothing for migration to copy. The checksum still sees the change.
     pub fn discard_page(&self, page: u64) -> Result<()> {
         let off = self.page_offset(page)?;
         let mut data = self.data.write();
-        data[off..off + PAGE_SIZE as usize].fill(0);
+        data.bytes[off..off + PAGE].fill(0);
+        data.mark_stale(off, PAGE);
         Ok(())
     }
 
@@ -296,11 +368,29 @@ impl MemoryRegion {
 
     /// Run a closure over the raw bytes of the region (read-only).
     ///
-    /// Used by checksumming and snapshot code paths that want to avoid an
-    /// intermediate copy.
+    /// The read lock is held for the whole closure. Used where one
+    /// contiguous view of the region is wanted, such as whole-guest copies
+    /// in tests; hot paths use the page views.
     pub fn with_bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
         let data = self.data.read();
-        f(&data)
+        f(&data.bytes)
+    }
+
+    /// The region's positional checksum,
+    /// `Σ_i byte[i] · (i | 1)` over region-relative byte indices `i`
+    /// (wrapping arithmetic).
+    ///
+    /// Cached per page: costs O(pages written since the last call) plus a
+    /// scan of one stale bit per page, and only the read lock when nothing
+    /// was written.
+    pub(crate) fn checksum(&self) -> u64 {
+        {
+            let data = self.data.read();
+            if !data.any_stale {
+                return data.total;
+            }
+        }
+        self.data.write().refresh()
     }
 }
 

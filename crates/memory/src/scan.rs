@@ -17,8 +17,13 @@
 //!   it from two 8-byte loads per iteration instead of sixteen
 //!   bounds-checked byte loads: the multiply chain stays serial by
 //!   definition, the memory traffic does not.
+//! * `checksum_term` (crate-private) computes one page's share of the
+//!   positional [`GuestMemory::checksum`](crate::GuestMemory::checksum)
+//!   without a per-byte multiply: even and odd byte lanes fold into four `u16` lanes
+//!   that share the weights 1, 3, 5, 7, and Adler-style running sums stand
+//!   in for the per-word position weight.
 //!
-//! Both kernels accept arbitrary slices: the tail that does not fill a word
+//! All kernels accept arbitrary slices: the tail that does not fill a word
 //! is handled byte-wise, and equivalence with the byte-wise reference
 //! implementations — including misaligned slice starts and ragged tails —
 //! is pinned by proptest below.
@@ -104,10 +109,72 @@ pub fn fingerprint(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Mask selecting the even bytes of a word as four `u16` lanes.
+const EVEN_BYTES: u64 = 0x00ff_00ff_00ff_00ff;
+/// Multiplying four packed `u16` lanes `l0..l3` by this leaves
+/// `l0 + l1 + l2 + l3` in the top lane.
+const LANE_SUM: u64 = 0x0001_0001_0001_0001;
+/// Multiplying four packed `u16` lanes `l0..l3` by this leaves
+/// `l0 + 3·l1 + 5·l2 + 7·l3` in the top lane.
+const LANE_WEIGHTS: u64 = 0x0001_0003_0005_0007;
+
+/// The positional checksum term `Σ_k bytes[k] · ((base + k) | 1)` of a
+/// slice that starts at byte index `base` of its region (wrapping
+/// arithmetic). `base` must be even, which every page offset is.
+///
+/// Exact word-wise kernel. Because `base` is even, byte `k` weighs
+/// `base + (k | 1)`, so the term is `base · Σ v + Σ v·(k | 1)`. Within a
+/// word, bytes `2i` and `2i + 1` both weigh `2i + 1`, so the even and odd
+/// byte lanes add into four `u16` lanes weighted 1, 3, 5, 7, which one
+/// multiply folds. Across the eight words of a 64-byte block the
+/// word-position weight comes from a running prefix of those lanes instead
+/// of a multiply per word. A lane never exceeds `8 · 510`, a prefix lane
+/// `28 · 510`, and no folded sum exceeds `u16::MAX`, so no lane carries
+/// into its neighbour: the result is bit-identical to the byte-wise fold.
+#[must_use]
+pub(crate) fn checksum_term(base: u64, bytes: &[u8]) -> u64 {
+    debug_assert!(base.is_multiple_of(2), "checksum base {base} is odd");
+    let mut sum = 0u64;
+    let mut weighted = 0u64;
+    let mut offset = 0u64;
+    let mut blocks = bytes.chunks_exact(64);
+    for block in blocks.by_ref() {
+        // `lanes` sums the words' lanes; `prefix` sums `lanes` as it stood
+        // before each word, i.e. word `u`'s lanes counted `7 - u` times.
+        let mut lanes = 0u64;
+        let mut prefix = 0u64;
+        for word in block.chunks_exact(8) {
+            let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            prefix += lanes;
+            lanes += (w & EVEN_BYTES) + ((w >> 8) & EVEN_BYTES);
+        }
+        let block_sum = lanes.wrapping_mul(LANE_SUM) >> 48;
+        let in_word = lanes.wrapping_mul(LANE_WEIGHTS) >> 48;
+        let word_position = 7 * block_sum - (prefix.wrapping_mul(LANE_SUM) >> 48);
+        weighted = weighted
+            .wrapping_add(offset.wrapping_mul(block_sum))
+            .wrapping_add(8 * word_position + in_word);
+        sum += block_sum;
+        offset += 64;
+    }
+    for (k, &v) in blocks.remainder().iter().enumerate() {
+        weighted = weighted.wrapping_add((v as u64).wrapping_mul((offset + k as u64) | 1));
+        sum += v as u64;
+    }
+    base.wrapping_mul(sum).wrapping_add(weighted)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rvisor_types::PAGE_SIZE;
+
+    /// The positional byte-wise fold [`checksum_term`] must match exactly.
+    fn checksum_term_bytewise(base: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().enumerate().fold(0u64, |acc, (k, &v)| {
+            acc.wrapping_add((v as u64).wrapping_mul(base.wrapping_add(k as u64) | 1))
+        })
+    }
 
     /// The byte-wise reference both kernels must match exactly.
     fn is_zero_bytewise(bytes: &[u8]) -> bool {
@@ -149,6 +216,23 @@ mod tests {
         assert_eq!(fingerprint(&page), fingerprint_bytewise(&page));
     }
 
+    #[test]
+    fn checksum_term_matches_fold_at_lane_limits() {
+        // All-0xff saturates every lane and prefix bound the kernel relies on.
+        let ones = vec![0xffu8; 4 << 20];
+        assert_eq!(checksum_term(0, &ones), checksum_term_bytewise(0, &ones));
+        let page = &ones[..PAGE_SIZE as usize];
+        for base in [0, PAGE_SIZE, 1023 * PAGE_SIZE, u64::MAX - 1] {
+            assert_eq!(
+                checksum_term(base, page),
+                checksum_term_bytewise(base, page)
+            );
+        }
+        assert_eq!(checksum_term(0, &[]), 0);
+        assert_eq!(checksum_term(0, &[2]), 2);
+        assert_eq!(checksum_term(2, &[1, 1]), 3 + 3);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -184,6 +268,21 @@ mod tests {
                 let start = offset.min(data.len());
                 let slice = &data[start..];
                 prop_assert_eq!(fingerprint(slice), fingerprint_bytewise(slice));
+            }
+
+            /// The word-wise checksum term is bit-identical to the byte-wise
+            /// positional fold for arbitrary contents, ragged tails, slice
+            /// offsets and even bases.
+            #[test]
+            fn checksum_term_equals_bytewise(
+                data in proptest::collection::vec(proptest::num::u8::ANY, 0..600),
+                offset in 0usize..16,
+                base in 0u64..(1 << 40),
+            ) {
+                let start = offset.min(data.len());
+                let slice = &data[start..];
+                let base = base & !1;
+                prop_assert_eq!(checksum_term(base, slice), checksum_term_bytewise(base, slice));
             }
         }
     }

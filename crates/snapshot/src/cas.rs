@@ -26,7 +26,7 @@ use rvisor_types::{ByteSize, Error, Nanoseconds, Result, VmId};
 use rvisor_vcpu::VcpuState;
 
 use crate::snapshot::{MemorySnapshot, SnapshotId, SnapshotKind, VmSnapshot};
-use crate::store::MAX_CHAIN_LENGTH;
+use crate::store::{release_child, MAX_CHAIN_LENGTH};
 
 /// Identifies a chunk in a [`ChunkStore`].
 ///
@@ -237,6 +237,9 @@ pub struct IngestStats {
 pub struct CasStore {
     chunks: ChunkStore,
     manifests: BTreeMap<ManifestId, Manifest>,
+    /// Number of held manifests naming each id as their parent, so
+    /// [`Self::retire`] checks for dependents without a scan.
+    children: BTreeMap<ManifestId, usize>,
     next_id: u64,
 }
 
@@ -286,6 +289,9 @@ impl CasStore {
         }
         self.next_id += 1;
         let id = ManifestId(self.next_id);
+        if let Some(p) = parent {
+            *self.children.entry(p).or_default() += 1;
+        }
         self.manifests.insert(
             id,
             Manifest {
@@ -410,13 +416,16 @@ impl CasStore {
     /// it holds (unreferenced chunks are garbage-collected). Fails if a
     /// dependent incremental manifest still exists.
     pub fn retire(&mut self, id: ManifestId) -> Result<()> {
-        if self.manifests.values().any(|m| m.parent == Some(id)) {
+        if self.children.contains_key(&id) {
             return Err(Error::Snapshot(format!("{id} has dependent manifests")));
         }
         let manifest = self
             .manifests
             .remove(&id)
             .ok_or_else(|| Error::Snapshot(format!("{id} does not exist")))?;
+        if let Some(parent) = manifest.parent {
+            release_child(&mut self.children, parent);
+        }
         for (_, chunk) in &manifest.pages {
             self.chunks.release(*chunk)?;
         }

@@ -16,6 +16,9 @@ pub const MAX_CHAIN_LENGTH: usize = 32;
 #[derive(Debug, Default)]
 pub struct SnapshotStore {
     snapshots: BTreeMap<SnapshotId, VmSnapshot>,
+    /// Number of held snapshots naming each id as their parent, so
+    /// [`Self::delete`] checks for dependents without a scan.
+    children: BTreeMap<SnapshotId, usize>,
     next_id: u64,
 }
 
@@ -64,6 +67,9 @@ impl SnapshotStore {
         self.next_id += 1;
         let id = SnapshotId(self.next_id);
         snapshot.id = id;
+        if let Some(parent) = snapshot.parent {
+            *self.children.entry(parent).or_default() += 1;
+        }
         self.snapshots.insert(id, snapshot);
         Ok(id)
     }
@@ -80,15 +86,19 @@ impl SnapshotStore {
 
     /// Delete a snapshot. Fails if another snapshot depends on it.
     pub fn delete(&mut self, id: SnapshotId) -> Result<()> {
-        if self.snapshots.values().any(|s| s.parent == Some(id)) {
+        if self.children.contains_key(&id) {
             return Err(Error::Snapshot(format!(
                 "{id} has dependent incremental snapshots"
             )));
         }
-        self.snapshots
+        let removed = self
+            .snapshots
             .remove(&id)
-            .map(|_| ())
-            .ok_or_else(|| Error::Snapshot(format!("{id} does not exist")))
+            .ok_or_else(|| Error::Snapshot(format!("{id} does not exist")))?;
+        if let Some(parent) = removed.parent {
+            release_child(&mut self.children, parent);
+        }
+        Ok(())
     }
 
     /// The chain from the full ancestor down to `id`, in application order.
@@ -133,6 +143,17 @@ impl SnapshotStore {
             )));
         }
         Ok((target.vcpus.clone(), pages_written))
+    }
+}
+
+/// Drop one child from `parent`'s count, forgetting the entry at zero so
+/// that presence in the map means "has dependents".
+pub(crate) fn release_child<K: Ord>(children: &mut BTreeMap<K, usize>, parent: K) {
+    if let std::collections::btree_map::Entry::Occupied(mut count) = children.entry(parent) {
+        *count.get_mut() -= 1;
+        if *count.get() == 0 {
+            count.remove();
+        }
     }
 }
 
@@ -256,6 +277,34 @@ mod tests {
         store.delete(inc_id).unwrap();
         store.delete(base).unwrap();
         assert!(store.delete(base).is_err());
+    }
+
+    #[test]
+    fn delete_counts_every_dependent_of_a_branching_parent() {
+        let mem = memory();
+        let mut store = SnapshotStore::new();
+        let base = store.insert(full(1, &mem)).unwrap();
+        let branch = |store: &mut SnapshotStore, name: &str| {
+            mem.write_u64(GuestAddress(0), 9).unwrap();
+            let inc = VmSnapshot::capture_incremental(
+                VmId::new(1),
+                name,
+                Nanoseconds::ZERO,
+                base,
+                &mem,
+                vec![],
+                BTreeMap::new(),
+            )
+            .unwrap();
+            store.insert(inc).unwrap()
+        };
+        let left = branch(&mut store, "left");
+        let right = branch(&mut store, "right");
+        store.delete(left).unwrap();
+        assert!(store.delete(base).is_err(), "right still depends on base");
+        store.delete(right).unwrap();
+        store.delete(base).unwrap();
+        assert!(store.is_empty());
     }
 
     #[test]
