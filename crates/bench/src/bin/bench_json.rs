@@ -716,6 +716,42 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
         record("orch_backup_sweep_dedup_32rack", ns);
     }
 
+    // -- warehouse-scale DR sweep: one `Cluster::backup_sweep` (the walk
+    //    and positional backup core the orchestrator's BackupTick runs) over
+    //    10k hosts x 4 still-modeled VMs, the E19 day's per-tick shape:
+    //    40k canonical backups, one fabric transfer each. Sweeps are an hour
+    //    apart, so each starts on an idle fabric, and canonical handles
+    //    never touch the store --
+    {
+        let params = OrchParams {
+            fidelity: VmFidelity::OnDemand,
+            ..Default::default()
+        };
+        let specs = (0..10_000)
+            .map(|i| HostSpec::modern_server(HostId::new(i)))
+            .collect();
+        let mut cluster = Cluster::new(specs, params).unwrap();
+        for host in 0..10_000u32 {
+            for slot in 0..4 {
+                let spec = VmSpec::typical(&format!("vm-{host}-{slot}"), ServerRole::AppServer);
+                cluster.deploy(HostId::new(host), spec).unwrap();
+            }
+        }
+        let mut store = SnapshotStore::new();
+        let mut now = Nanoseconds::ZERO;
+        let ns = measure(samples, || {
+            now = now.saturating_add(Nanoseconds::from_secs(3600));
+            let mut bytes = 0u64;
+            cluster
+                .backup_sweep("sweep", &mut store, now, |_, _, _, size, _| {
+                    bytes += size.as_u64()
+                })
+                .unwrap();
+            bytes
+        });
+        record("orch_backup_sweep_modeled_10k_hosts", ns);
+    }
+
     // -- calendar event queue: 1M pushes at scattered times, then a full
     //    time-ordered drain (grow and shrink rebucketing included) --
     {

@@ -12,7 +12,13 @@
 //!   [`MigrationSink`]; the coordinator ships encoded segments to it over a
 //!   bounded `std::sync::mpsc` channel and receives the buffers back on a
 //!   recycle channel, so decode/apply of one segment overlaps encode of the
-//!   next and steady-state rounds reuse the same buffers.
+//!   next and steady-state rounds reuse the same buffers. The buffer set is
+//!   fixed when the pipeline starts — one pool of control-frame buffers and
+//!   two body buffers per stripe, used on alternate rounds — and a
+//!   coordinator that finds its buffer still in flight waits for the sink
+//!   to hand it back rather than allocating a fresh one. Which buffer
+//!   carries which bytes, and so every buffer's growth, is a function of
+//!   the byte stream alone, never of thread scheduling.
 //! * **Multi-stream scatter** — [`MigrationPlan::streams`](crate::MigrationPlan::streams)
 //!   shards the page-index space into *fixed* contiguous stripes (`stripe =
 //!   page / ceil(total_pages / streams)`). One encode worker owns each
@@ -175,6 +181,23 @@ fn channel_closed(what: &str) -> Error {
     Error::Migration(format!("pipelined migration {what} terminated early"))
 }
 
+/// Control-frame buffers per stream: enough for a round's boundary zero
+/// runs and its end-of-round marker to be in flight at once.
+const CTL_BUFS_PER_STREAM: usize = 2;
+/// Capacity every control-frame buffer starts with: room for any frame a
+/// round ships on the control stream (hello, zero runs, end of round).
+const CTL_BUF_CAPACITY: usize = 64;
+
+/// The pool a buffer returns to once the sink has applied it.
+#[derive(Debug, Clone, Copy)]
+enum Home {
+    /// The shared control-frame pool.
+    Ctl,
+    /// A body slot: stripe `s` owns slots `2s` and `2s + 1` and alternates
+    /// between them by round parity.
+    Body(usize),
+}
+
 /// The coordinator's handle onto a running pipeline: stripe workers, the
 /// sink thread, and the recycled-buffer pools connecting them.
 struct Pipeline<'p> {
@@ -184,10 +207,13 @@ struct Pipeline<'p> {
     round: u32,
     task_txs: Vec<SyncSender<RoundTask>>,
     result_rxs: Vec<Receiver<Result<StripeEncoding>>>,
-    seg_tx: SyncSender<Vec<u8>>,
-    recycle_rx: &'p Receiver<Vec<u8>>,
-    /// Recycled byte buffers (segment bodies, control frames).
-    pool: Vec<Vec<u8>>,
+    seg_tx: SyncSender<(Vec<u8>, Home)>,
+    recycle_rx: &'p Receiver<(Vec<u8>, Home)>,
+    /// Control-frame buffers the sink has handed back.
+    ctl_pool: Vec<Vec<u8>>,
+    /// Stripe body buffers by slot; `None` while the slot's buffer is with
+    /// a worker or the sink.
+    body_slots: Vec<Option<Vec<u8>>>,
     /// Recycled per-stripe page-index lists.
     page_pool: Vec<Vec<u64>>,
     /// Per-stripe payload bytes of the round being encoded (what
@@ -199,60 +225,58 @@ struct Pipeline<'p> {
 }
 
 impl Pipeline<'_> {
-    /// Pull every buffer the sink has handed back into the local pool.
-    fn refill_pool(&mut self) {
-        while let Ok(mut buf) = self.recycle_rx.try_recv() {
-            buf.clear();
-            self.pool.push(buf);
+    /// Return a buffer to its home pool, emptied.
+    fn put_back(&mut self, mut buf: Vec<u8>, home: Home) {
+        buf.clear();
+        match home {
+            Home::Ctl => self.ctl_pool.push(buf),
+            Home::Body(slot) => self.body_slots[slot] = Some(buf),
         }
     }
 
-    /// The highest-capacity recycled buffer — for stripe bodies, so a
-    /// megabyte body buffer is never wasted on a 16-byte control frame
-    /// while a tiny one regrows to megabytes (which would allocate every
-    /// round instead of recycling).
-    fn grab_body_buf(&mut self) -> Vec<u8> {
-        self.refill_pool();
-        self.grab_ranked(|best, cand| cand > best)
-    }
-
-    /// The lowest-capacity recycled buffer — for control frames (hello,
-    /// zero runs, end-of-round markers, vCPU state).
-    fn grab_ctl_buf(&mut self) -> Vec<u8> {
-        self.refill_pool();
-        self.grab_ranked(|best, cand| cand < best)
-    }
-
-    fn grab_ranked(&mut self, better: impl Fn(usize, usize) -> bool) -> Vec<u8> {
-        let mut pick = match self.pool.first() {
-            Some(_) => 0usize,
-            None => return Vec::new(),
-        };
-        for (i, buf) in self.pool.iter().enumerate().skip(1) {
-            if better(self.pool[pick].capacity(), buf.capacity()) {
-                pick = i;
+    /// Take a buffer from `home`'s pool, waiting for the sink to hand one
+    /// back while the pool is empty. The wait always ends: control buffers
+    /// only ever travel to the sink, and a body slot is taken two rounds
+    /// after its last use, when its buffer has long left the workers and
+    /// is queued for, or being applied by, the sink.
+    fn take(&mut self, home: Home) -> Result<Vec<u8>> {
+        loop {
+            let ready = match home {
+                Home::Ctl => self.ctl_pool.pop(),
+                Home::Body(slot) => self.body_slots[slot].take(),
+            };
+            if let Some(buf) = ready {
+                return Ok(buf);
             }
+            let (buf, from) = self.recycle_rx.recv().map_err(|_| channel_closed("sink"))?;
+            self.put_back(buf, from);
         }
-        self.pool.swap_remove(pick)
+    }
+
+    /// The body slot stripe `stripe` encodes into this round.
+    fn body_home(&self, stripe: usize) -> Home {
+        Home::Body(2 * stripe + (self.round % 2) as usize)
     }
 
     /// Ship one segment of whole frames to the sink thread, in stream
     /// order. Returns its length.
-    fn ship(&mut self, seg: Vec<u8>) -> Result<u64> {
+    fn ship(&mut self, seg: Vec<u8>, home: Home) -> Result<u64> {
         let len = seg.len() as u64;
         if len == 0 {
-            self.pool.push(seg);
+            self.put_back(seg, home);
             return Ok(0);
         }
-        self.seg_tx.send(seg).map_err(|_| channel_closed("sink"))?;
+        self.seg_tx
+            .send((seg, home))
+            .map_err(|_| channel_closed("sink"))?;
         Ok(len)
     }
 
     fn ship_run(&mut self, stripe: usize, first: u64, count: u64) -> Result<()> {
-        let mut buf = self.grab_ctl_buf();
+        let mut buf = self.take(Home::Ctl)?;
         put_run(&mut buf, first, count);
         self.stripe_bytes[stripe] += buf.len() as u64;
-        self.ship(buf)?;
+        self.ship(buf, Home::Ctl)?;
         Ok(())
     }
 
@@ -275,7 +299,7 @@ impl Pipeline<'_> {
                 let mut task_pages = self.page_pool.pop().unwrap_or_default();
                 task_pages.clear();
                 task_pages.extend_from_slice(&pages[start..end]);
-                let body = self.grab_body_buf();
+                let body = self.take(self.body_home(s))?;
                 self.task_txs[s]
                     .send(RoundTask {
                         stripe: s,
@@ -321,7 +345,7 @@ impl Pipeline<'_> {
                     self.ship_run(os, pf, pc)?;
                 }
                 self.stripe_bytes[s] += body.len() as u64;
-                self.ship(body)?;
+                self.ship(body, self.body_home(s))?;
                 pending = trailing.map(|run| (s, run));
             } else if let Some(run) = trailing {
                 // The stripe was zero runs only; its trailing run cannot
@@ -329,30 +353,30 @@ impl Pipeline<'_> {
                 if let Some((os, (pf, pc))) = pending.take() {
                     self.ship_run(os, pf, pc)?;
                 }
-                self.pool.push(body);
+                self.put_back(body, self.body_home(s));
                 pending = Some((s, run));
             } else {
-                self.pool.push(body);
+                self.put_back(body, self.body_home(s));
             }
         }
         if let Some((os, (pf, pc))) = pending.take() {
             self.ship_run(os, pf, pc)?;
         }
         // End-of-round marker rides the control stream (stripe 0).
-        let mut buf = self.grab_ctl_buf();
+        let mut buf = self.take(Home::Ctl)?;
         wire::put_end_of_round(&mut buf, self.round);
         self.round += 1;
         self.stripe_bytes[0] += buf.len() as u64;
-        self.ship(buf)?;
+        self.ship(buf, Home::Ctl)?;
         Ok(())
     }
 }
 
 impl Plane for Pipeline<'_> {
     fn hello(&mut self, transport: &mut dyn Transport, now: Nanoseconds) -> Result<Nanoseconds> {
-        let mut buf = self.grab_ctl_buf();
+        let mut buf = self.take(Home::Ctl)?;
         wire::put_hello(&mut buf, self.total_pages, self.memory_bytes);
-        let bytes = self.ship(buf)?;
+        let bytes = self.ship(buf, Home::Ctl)?;
         transport.transmit_bytes(now, bytes)
     }
 
@@ -378,11 +402,11 @@ impl Plane for Pipeline<'_> {
         } else {
             states
         };
-        let mut buf = self.grab_ctl_buf();
+        let mut buf = self.take(Home::Ctl)?;
         for (i, state) in states.iter().enumerate() {
             wire::put_vcpu_state(&mut buf, i as u32, state);
         }
-        let bytes = self.ship(buf)?;
+        let bytes = self.ship(buf, Home::Ctl)?;
         transport.transmit_bytes(now, bytes)
     }
 
@@ -439,15 +463,17 @@ pub(crate) fn with_pipeline<R>(
     };
     let total_pages = source.total_pages();
     let stripe_len = total_pages.div_ceil(streams as u64).max(1);
+    let ctl_bufs = CTL_BUFS_PER_STREAM * streams;
     thread::scope(|scope| {
-        let (seg_tx, seg_rx) = sync_channel::<Vec<u8>>(4 * streams + 8);
-        let (recycle_tx, recycle_rx) = sync_channel::<Vec<u8>>(8 * streams + 16);
+        let (seg_tx, seg_rx) = sync_channel::<(Vec<u8>, Home)>(4 * streams + 8);
+        // Room for every buffer the pipeline owns, so handing one back
+        // never blocks the sink.
+        let (recycle_tx, recycle_rx) = sync_channel::<(Vec<u8>, Home)>(ctl_bufs + 2 * streams);
         let sink_thread = scope.spawn(move || -> Result<()> {
             let mut sink = MigrationSink::new(dest);
-            while let Ok(seg) = seg_rx.recv() {
+            while let Ok((seg, home)) = seg_rx.recv() {
                 let applied = sink.apply_burst(&seg);
-                // A full recycle channel only costs a reallocation later.
-                let _ = recycle_tx.try_send(seg);
+                let _ = recycle_tx.send((seg, home));
                 applied?;
             }
             Ok(())
@@ -502,7 +528,10 @@ pub(crate) fn with_pipeline<R>(
             result_rxs,
             seg_tx,
             recycle_rx: &recycle_rx,
-            pool: Vec::new(),
+            ctl_pool: (0..ctl_bufs)
+                .map(|_| Vec::with_capacity(CTL_BUF_CAPACITY))
+                .collect(),
+            body_slots: vec![Some(Vec::new()); 2 * streams],
             page_pool: Vec::new(),
             stripe_bytes: vec![0u64; streams],
             dispatched: vec![false; streams],

@@ -26,7 +26,14 @@
 //!   giving an O(log n) "could this VM fit *anywhere*?" quick reject;
 //! * `empty_powered` / `parked` — powered-on-and-empty and powered-off
 //!   hosts in host-vector order (`OnePerHost` placement, DR power-up);
-//! * `vm_to_host` / `by_id` — O(log n) VM-name and host-id lookups.
+//! * `by_id` — O(log n) host-id lookups.
+//!
+//! Per-VM state is keyed by a dense [`VmKey`] rather than by name: the
+//! cluster interns each VM name once, the first time it is deployed or
+//! restored, and `vm_to_host` is a plain vector indexed by key. Each host
+//! keeps its VMs' keys in placement order beside `accounting.placed`, so a
+//! backup sweep walks hosts by position and keys by slot without hashing
+//! or cloning a single name.
 //!
 //! Per-host committed-capacity figures are cached incrementally and are
 //! *bit-identical* to recomputing the accounting folds: appending a spec
@@ -41,9 +48,10 @@
 //!
 //! # The fidelity dial
 //!
-//! Under [`VmFidelity::OnDemand`] a deployed VM starts as a `VmModel` —
-//! integer-only accounting, no guest pages — and is *materialized* into a
-//! full [`Vmm`] stack only when a migration or restore touches its memory.
+//! Under [`VmFidelity::OnDemand`] a deployed VM starts as a statistical
+//! model — capacity accounting only, no guest pages — and is
+//! *materialized* into a full [`Vmm`] stack only when a migration or
+//! restore touches its memory.
 //! This is sound because canonical tenant state is deterministic (see
 //! `provision_canonical`) and tenant guests only execute during migration
 //! rounds: a VM materialized at time T holds exactly the state a
@@ -52,7 +60,7 @@
 //! the same modelled bytes/time as a real snapshot stream, because full
 //! snapshot size is content-independent (every page is captured).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::num::NonZeroU64;
 
 use rvisor::{Vm, VmConfig, VmLifecycle, Vmm};
@@ -61,7 +69,7 @@ use rvisor_migrate::{FabricTransport, MigrationPlan, MigrationReport};
 use rvisor_net::{AnyFabric, ClosFabric, ClosParams, Fabric};
 use rvisor_obs::{ArgValue, Trace};
 use rvisor_snapshot::{CasStore, IngestStats, ManifestId, SnapshotId, SnapshotStore};
-use rvisor_types::{ByteSize, Error, GuestAddress, HostId, Nanoseconds, Result, PAGE_SIZE};
+use rvisor_types::{ByteSize, Error, GuestAddress, HostId, Nanoseconds, Result, VmId, PAGE_SIZE};
 use rvisor_vcpu::{Workload, WorkloadKind};
 
 use crate::params::{OrchParams, VmFidelity};
@@ -173,26 +181,21 @@ pub enum HostPower {
     Failed,
 }
 
-/// Integer-only statistical stand-in for a not-yet-materialized VM
-/// (the cheap end of the fidelity dial).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct VmModel {
-    /// Mirror of the accounting CPU demand, in millicores.
-    cpu_demand_millicores: u64,
-    /// Pages the canonical deploy state has dirtied (workload image plus
-    /// identity markers); the dirty rate stays zero until materialization
-    /// because parked tenant guests never execute.
-    dirty_pages: u64,
-}
+/// Dense identity of a VM name within one [`Cluster`].
+///
+/// The cluster interns a name the first time a VM by that name is deployed
+/// or restored and never reuses or forgets the key, so per-VM state (host
+/// position here, DR backups and manifest chains in the orchestrator) lives
+/// in vectors indexed by key. A key outlives its VM on purpose: after a
+/// host failure the VM is on no host, and the restore must still find the
+/// DR state recorded under the same key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct VmKey(u32);
 
-impl VmModel {
-    fn for_spec(spec: &VmSpec) -> Self {
-        VmModel {
-            cpu_demand_millicores: (spec.cpu_demand_cores.max(0.0) * 1000.0) as u64,
-            // The idle workload image dirties its code page; the identity
-            // stamp dirties four marker pages.
-            dirty_pages: 5,
-        }
+impl VmKey {
+    /// The key as a vector index.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
     }
 }
 
@@ -235,9 +238,12 @@ pub struct OrchHost {
     accounting: Host,
     vmm: Vmm,
     power: HostPower,
-    vm_ids: BTreeMap<String, rvisor_types::VmId>,
-    /// Statistical models for not-yet-materialized VMs (OnDemand fidelity).
-    models: BTreeMap<String, VmModel>,
+    /// Keys of the VMs placed here, in placement order: `keys[i]` is the
+    /// VM of `accounting.placed[i]`.
+    keys: Vec<VmKey>,
+    /// Live guests by key. A placed VM without an entry is still a
+    /// statistical model (OnDemand fidelity).
+    vm_ids: BTreeMap<VmKey, VmId>,
     /// Incremental mirror of `accounting.cpu_committed()`, bit-identical to
     /// the fold at all times (see the module docs).
     cpu_committed: f64,
@@ -291,9 +297,14 @@ impl OrchHost {
             .collect()
     }
 
-    /// Whether the named VM is still a statistical model on this host.
-    pub(crate) fn is_model(&self, vm: &str) -> bool {
-        self.models.contains_key(vm)
+    /// Placement slot of `key` on this host, if it is placed here.
+    fn slot(&self, key: VmKey) -> Option<usize> {
+        self.keys.iter().position(|&k| k == key)
+    }
+
+    /// Whether `key` is placed here and still a statistical model.
+    pub(crate) fn is_model(&self, key: VmKey) -> bool {
+        self.keys.contains(&key) && !self.vm_ids.contains_key(&key)
     }
 
     pub(crate) fn cpu_committed_cached(&self) -> f64 {
@@ -317,14 +328,6 @@ impl OrchHost {
         let mem_ok = self.mem_committed + spec.memory.as_u64() <= self.mem_capacity;
         let cpu_ok = self.cpu_committed + spec.cpu_demand_cores <= self.cores;
         mem_ok && cpu_ok
-    }
-
-    fn live_vm_mut(&mut self, name: &str) -> Result<&mut Vm> {
-        let id = *self
-            .vm_ids
-            .get(name)
-            .ok_or_else(|| Error::Config(format!("no live VM named {name} on {}", self.id())))?;
-        self.vmm.vm_mut(id)
     }
 }
 
@@ -357,8 +360,14 @@ pub struct Cluster {
     empty_powered: BTreeSet<usize>,
     /// Positions of powered-off (not failed) hosts, in host-vector order.
     parked: BTreeSet<usize>,
-    /// VM name → position of the host it lives on.
-    vm_to_host: BTreeMap<String, usize>,
+    /// VM name → key, for every name the cluster has ever held. Lookup
+    /// only: never iterated, so its hash order cannot reach any output.
+    key_index: HashMap<String, VmKey>,
+    /// Key → VM name (the inverse of `key_index`).
+    names: Vec<String>,
+    /// Key → position of the host the VM lives on (`None` while it is on
+    /// no host: departed, lost to a failure, or awaiting restore).
+    vm_to_host: Vec<Option<usize>>,
     /// VMs placed across all hosts.
     total_vms: usize,
     /// Hosts currently powered on.
@@ -391,8 +400,8 @@ impl Cluster {
                     mem_capacity: accounting.memory_capacity().as_u64(),
                     accounting,
                     power: HostPower::On,
+                    keys: Vec::new(),
                     vm_ids: BTreeMap::new(),
-                    models: BTreeMap::new(),
                     cpu_committed,
                     mem_committed: 0,
                 }
@@ -462,7 +471,9 @@ impl Cluster {
             free_mem: BTreeSet::new(),
             empty_powered: BTreeSet::new(),
             parked: BTreeSet::new(),
-            vm_to_host: BTreeMap::new(),
+            key_index: HashMap::new(),
+            names: Vec::new(),
+            vm_to_host: Vec::new(),
             total_vms: 0,
             n_powered,
             canonical_backup_size: None,
@@ -558,15 +569,61 @@ impl Cluster {
     /// VMs currently represented by statistical models rather than live
     /// guests (always zero under [`VmFidelity::Full`]).
     pub fn modeled_vms(&self) -> usize {
-        self.hosts.iter().map(|h| h.models.len()).sum()
+        self.hosts
+            .iter()
+            .map(|h| h.keys.len() - h.vm_ids.len())
+            .sum()
     }
 
     /// Whether the named VM is backed by a live guest (as opposed to a
     /// statistical model awaiting materialization).
     pub fn is_materialized(&self, vm: &str) -> bool {
-        self.vm_to_host
-            .get(vm)
-            .is_some_and(|&pos| self.hosts[pos].vm_ids.contains_key(vm))
+        self.key_of(vm).is_some_and(|key| {
+            self.pos_of_key(key)
+                .is_some_and(|pos| self.hosts[pos].vm_ids.contains_key(&key))
+        })
+    }
+
+    /// The key interned for `name`, if the cluster has ever held a VM by
+    /// that name (it may since have departed or been lost).
+    pub(crate) fn key_of(&self, name: &str) -> Option<VmKey> {
+        self.key_index.get(name).copied()
+    }
+
+    /// The name interned as `key`.
+    pub(crate) fn name_of(&self, key: VmKey) -> &str {
+        &self.names[key.index()]
+    }
+
+    /// The key for `name`, interning it on first sight.
+    fn intern(&mut self, name: &str) -> VmKey {
+        if let Some(key) = self.key_of(name) {
+            return key;
+        }
+        let key = VmKey(u32::try_from(self.names.len()).expect("fewer than 2^32 VM names"));
+        self.key_index.insert(name.to_owned(), key);
+        self.names.push(name.to_owned());
+        self.vm_to_host.push(None);
+        key
+    }
+
+    /// The key of the named VM, or the typed unknown-name error.
+    fn key_for(&self, vm: &str) -> Result<VmKey> {
+        self.key_of(vm)
+            .ok_or_else(|| Error::UnknownVmName(vm.to_owned()))
+    }
+
+    /// Position of the host running `key`, or the typed unknown-name error
+    /// when the VM is on no host.
+    fn placed_pos(&self, key: VmKey) -> Result<usize> {
+        self.pos_of_key(key)
+            .ok_or_else(|| Error::UnknownVmName(self.names[key.index()].clone()))
+    }
+
+    /// Whether a VM by this name is on some host right now.
+    fn is_placed(&self, name: &str) -> bool {
+        self.key_of(name)
+            .is_some_and(|key| self.pos_of_key(key).is_some())
     }
 
     fn position(&self, host: HostId) -> Result<usize> {
@@ -598,7 +655,17 @@ impl Cluster {
 
     /// Which host (if any) currently runs the named VM.
     pub fn host_of(&self, vm: &str) -> Option<HostId> {
-        self.vm_to_host.get(vm).map(|&pos| self.hosts[pos].id())
+        self.host_of_key(self.key_of(vm)?)
+    }
+
+    /// Which host (if any) currently runs `key`.
+    pub(crate) fn host_of_key(&self, key: VmKey) -> Option<HostId> {
+        self.pos_of_key(key).map(|pos| self.hosts[pos].id())
+    }
+
+    /// Position of the host currently running `key`, if any.
+    pub(crate) fn pos_of_key(&self, key: VmKey) -> Option<usize> {
+        self.vm_to_host[key.index()]
     }
 
     /// Remove `pos` from every index it currently appears in. Call before
@@ -658,14 +725,16 @@ impl Cluster {
         }
     }
 
-    /// Place `spec` on the host at `pos`, maintaining caches and indexes.
-    fn place_spec(&mut self, pos: usize, spec: VmSpec) -> Result<()> {
+    /// Place `spec` (interned as `key`) on the host at `pos`, maintaining
+    /// caches and indexes.
+    fn place_spec(&mut self, pos: usize, key: VmKey, spec: VmSpec) -> Result<()> {
         self.deindex(pos);
         let h = &mut self.hosts[pos];
         let demand = spec.cpu_demand_cores;
         let mem = spec.memory.as_u64();
         let res = h.accounting.place(spec);
         if res.is_ok() {
+            h.keys.push(key);
             // Appending to `placed` extends the left-fold sum by exactly
             // one term, so incremental addition stays bit-identical.
             h.cpu_committed += demand;
@@ -675,11 +744,14 @@ impl Cluster {
         res
     }
 
-    /// Evict the named spec from the host at `pos`, maintaining caches.
-    fn evict_spec(&mut self, pos: usize, name: &str) -> Option<VmSpec> {
+    /// Evict `key`'s spec from the host at `pos`, maintaining caches.
+    fn evict_spec(&mut self, pos: usize, key: VmKey) -> Option<VmSpec> {
         self.deindex(pos);
         let h = &mut self.hosts[pos];
-        let spec = h.accounting.evict(name);
+        let spec = h.slot(key).map(|slot| {
+            h.keys.remove(slot);
+            h.accounting.placed.remove(slot)
+        });
         if spec.is_some() {
             // Removal from the middle of `placed` reorders the fold, so
             // recompute rather than subtract (float addition is not
@@ -782,100 +854,88 @@ impl Cluster {
         if self.hosts[idx].power != HostPower::On {
             return Err(Error::Config(format!("{host} is not powered on")));
         }
-        if self.vm_to_host.contains_key(&spec.name) {
+        if self.is_placed(&spec.name) {
             return Err(Error::Config(format!(
                 "a VM named {} already exists in the cluster",
                 spec.name
             )));
         }
-        let name = spec.name.clone();
-        let model = VmModel::for_spec(&spec);
-        self.place_spec(idx, spec)?;
-        match self.params.fidelity {
-            VmFidelity::Full => {
-                if let Err(e) = self.materialize_at(idx, &name) {
-                    self.evict_spec(idx, &name);
-                    return Err(e);
-                }
-            }
-            VmFidelity::OnDemand => {
-                self.hosts[idx].models.insert(name.clone(), model);
+        let key = self.intern(&spec.name);
+        self.place_spec(idx, key, spec)?;
+        if self.params.fidelity == VmFidelity::Full {
+            if let Err(e) = self.materialize_at(idx, key) {
+                self.evict_spec(idx, key);
+                return Err(e);
             }
         }
-        self.vm_to_host.insert(name, idx);
+        self.vm_to_host[key.index()] = Some(idx);
         self.total_vms += 1;
         Ok(())
     }
 
-    /// Turn the model at (`idx`, `name`) into a live canonical-state guest.
+    /// Turn the model at (`idx`, `key`) into a live canonical-state guest.
     /// Idempotent for already-materialized VMs.
-    fn materialize_at(&mut self, idx: usize, name: &str) -> Result<()> {
+    fn materialize_at(&mut self, idx: usize, key: VmKey) -> Result<()> {
         let hot_modulus = self.params.hot_tenant_modulus;
+        let name = &self.names[key.index()];
         let h = &mut self.hosts[idx];
-        if h.vm_ids.contains_key(name) {
+        if h.vm_ids.contains_key(&key) {
             return Ok(());
         }
         let config = VmConfig::new(name).with_memory(self.params.guest_memory);
         let id = h
             .vmm
             .create_vm_with(config, |vm| provision_canonical(vm, name, hot_modulus))?;
-        h.vm_ids.insert(name.to_string(), id);
-        h.models.remove(name);
+        h.vm_ids.insert(key, id);
         Ok(())
     }
 
     /// Materialize the named VM into a live guest if it is still a model.
     /// Idempotent; a materialized VM never reverts to a model.
     pub fn materialize(&mut self, vm: &str) -> Result<HostId> {
-        let idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
-        self.materialize_at(idx, vm)?;
+        let key = self.key_for(vm)?;
+        let idx = self.placed_pos(key)?;
+        self.materialize_at(idx, key)?;
         Ok(self.hosts[idx].id())
     }
 
     /// Destroy the named VM; returns the host it lived on and its spec.
     pub fn destroy(&mut self, vm: &str) -> Result<(HostId, VmSpec)> {
-        let idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
+        self.destroy_key(self.key_for(vm)?)
+    }
+
+    /// [`Self::destroy`] by key.
+    pub(crate) fn destroy_key(&mut self, key: VmKey) -> Result<(HostId, VmSpec)> {
+        let idx = self.placed_pos(key)?;
         let h = &mut self.hosts[idx];
-        if let Some(id) = h.vm_ids.remove(vm) {
+        if let Some(id) = h.vm_ids.remove(&key) {
             h.vmm.destroy_vm(id)?;
-        } else {
-            h.models.remove(vm);
         }
         let spec = self
-            .evict_spec(idx, vm)
-            .ok_or_else(|| Error::Config(format!("accounting lost track of {vm}")))?;
-        self.vm_to_host.remove(vm);
+            .evict_spec(idx, key)
+            .expect("vm_to_host is kept consistent with the key lists");
+        self.vm_to_host[key.index()] = None;
         self.total_vms -= 1;
         Ok((self.hosts[idx].id(), spec))
     }
 
     /// Update the accounting CPU demand of the named VM (a load change).
     pub fn set_cpu_demand(&mut self, vm: &str, demand_cores: f64) -> Result<HostId> {
-        let idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
+        self.set_cpu_demand_key(self.key_for(vm)?, demand_cores)
+    }
+
+    /// [`Self::set_cpu_demand`] by key.
+    pub(crate) fn set_cpu_demand_key(&mut self, key: VmKey, demand_cores: f64) -> Result<HostId> {
+        let idx = self.placed_pos(key)?;
         self.deindex(idx);
         let h = &mut self.hosts[idx];
-        let entry = h
-            .accounting
-            .placed
-            .iter_mut()
-            .find(|s| s.name == vm)
-            .expect("vm_to_host is kept consistent with accounting");
-        entry.cpu_demand_cores = demand_cores.max(0.0);
+        let slot = h
+            .slot(key)
+            .expect("vm_to_host is kept consistent with the key lists");
+        h.accounting.placed[slot].cpu_demand_cores = demand_cores.max(0.0);
         // In-place mutation reorders nothing, but the fold must be
         // recomputed: replacing a term changes every partial sum after it.
         h.cpu_committed = h.accounting.cpu_committed();
-        if let Some(m) = h.models.get_mut(vm) {
-            m.cpu_demand_millicores = (demand_cores.max(0.0) * 1000.0) as u64;
-        }
         self.index(idx);
         Ok(self.hosts[idx].id())
     }
@@ -923,23 +983,74 @@ impl Cluster {
         store: &mut SnapshotStore,
         now: Nanoseconds,
     ) -> Result<(BackupHandle, ByteSize, Nanoseconds)> {
-        let idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
-        let (handle, size) = if self.hosts[idx].vm_ids.contains_key(vm) {
-            let live = self.hosts[idx].live_vm_mut(vm)?;
-            let snap = live.snapshot(label, store)?;
-            let size = store
-                .get(snap)
-                .map(|s| s.approx_size())
-                .unwrap_or(ByteSize::ZERO);
-            (BackupHandle::Stored(snap), size)
-        } else {
-            (BackupHandle::Canonical, self.canonical_backup_size()?)
+        let key = self.key_for(vm)?;
+        let pos = self.placed_pos(key)?;
+        self.backup_at(pos, key, label, store, now)
+    }
+
+    /// Back up every VM on every powered-on host, one [`Self::backup`]
+    /// each, in sweep order: hosts by position, each host's VMs in
+    /// placement order. `record` receives each result (with the store, so
+    /// it can retire the snapshot the new one supersedes) before the next
+    /// VM is backed up.
+    pub fn backup_sweep(
+        &mut self,
+        label: &str,
+        store: &mut SnapshotStore,
+        now: Nanoseconds,
+        mut record: impl FnMut(VmKey, &mut SnapshotStore, BackupHandle, ByteSize, Nanoseconds),
+    ) -> Result<()> {
+        self.sweep(|cluster, pos, key| {
+            let (handle, size, arrival) = cluster.backup_at(pos, key, label, store, now)?;
+            record(key, store, handle, size, arrival);
+            Ok(())
+        })
+    }
+
+    /// Visit every VM on every powered-on host in sweep order — hosts by
+    /// position, each host's VMs in placement order — handing `visit` the
+    /// cluster, the host position and the VM's key. `visit` may back VMs
+    /// up but must not place, evict or move any.
+    pub(crate) fn sweep(
+        &mut self,
+        mut visit: impl FnMut(&mut Self, usize, VmKey) -> Result<()>,
+    ) -> Result<()> {
+        for pos in 0..self.hosts.len() {
+            if self.hosts[pos].power != HostPower::On {
+                continue;
+            }
+            for slot in 0..self.hosts[pos].keys.len() {
+                let key = self.hosts[pos].keys[slot];
+                visit(self, pos, key)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The backup core: [`Self::backup`] of `key`, which lives on the host
+    /// at `pos`.
+    fn backup_at(
+        &mut self,
+        pos: usize,
+        key: VmKey,
+        label: &str,
+        store: &mut SnapshotStore,
+        now: Nanoseconds,
+    ) -> Result<(BackupHandle, ByteSize, Nanoseconds)> {
+        let live = self.hosts[pos].vm_ids.get(&key).copied();
+        let (handle, size) = match live {
+            Some(id) => {
+                let snap = self.hosts[pos].vmm.vm_mut(id)?.snapshot(label, store)?;
+                let size = store
+                    .get(snap)
+                    .map(|s| s.approx_size())
+                    .unwrap_or(ByteSize::ZERO);
+                (BackupHandle::Stored(snap), size)
+            }
+            None => (BackupHandle::Canonical, self.canonical_backup_size()?),
         };
         let dr = self.dr_endpoint();
-        let arrival = self.fabric.transfer(idx, dr, now, size.as_u64())?;
+        let arrival = self.fabric.transfer(pos, dr, now, size.as_u64())?;
         if self.trace.is_on() {
             let lag = arrival.saturating_sub(now);
             self.trace.span(
@@ -948,8 +1059,8 @@ impl Cluster {
                 now,
                 arrival,
                 &[
-                    ("vm", ArgValue::Str(vm)),
-                    ("host", ArgValue::U64(idx as u64)),
+                    ("vm", ArgValue::Str(&self.names[key.index()])),
+                    ("host", ArgValue::U64(pos as u64)),
                     ("bytes", ArgValue::U64(size.as_u64())),
                     ("lag_ns", ArgValue::U64(lag.as_nanos())),
                 ],
@@ -983,10 +1094,22 @@ impl Cluster {
         parent: Option<ManifestId>,
         now: Nanoseconds,
     ) -> Result<DedupBackup> {
-        let idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
+        let key = self.key_for(vm)?;
+        let pos = self.placed_pos(key)?;
+        self.backup_dedup_at(pos, key, label, cas, parent, now)
+    }
+
+    /// The deduplicated backup core: [`Self::backup_dedup`] of `key`, which
+    /// lives on the host at `pos`.
+    pub(crate) fn backup_dedup_at(
+        &mut self,
+        pos: usize,
+        key: VmKey,
+        label: &str,
+        cas: &mut CasStore,
+        parent: Option<ManifestId>,
+        now: Nanoseconds,
+    ) -> Result<DedupBackup> {
         let parent_snap = match parent {
             None => None,
             Some(p) => Some(
@@ -995,21 +1118,26 @@ impl Cluster {
                     .snapshot_id,
             ),
         };
-        let snapshot = if self.hosts[idx].vm_ids.contains_key(vm) {
-            let live = self.hosts[idx].live_vm_mut(vm)?;
-            live.capture_for_backup(label, parent_snap)?
-        } else {
-            // Model VM: rebuild the canonical deploy state it is known to
-            // be in. Parked guests never execute, so an incremental epoch
-            // on a model VM drains an *empty* dirty set — exactly what a
-            // materialized twin parked since its last epoch would produce.
-            let config = VmConfig::new(vm).with_memory(self.params.guest_memory);
-            let mut scratch = Vm::new(config)?;
-            provision_canonical(&mut scratch, vm, self.params.hot_tenant_modulus)?;
-            if parent_snap.is_some() {
-                scratch.memory().clear_dirty();
+        let name = &self.names[key.index()];
+        let snapshot = match self.hosts[pos].vm_ids.get(&key) {
+            Some(&id) => self.hosts[pos]
+                .vmm
+                .vm_mut(id)?
+                .capture_for_backup(label, parent_snap)?,
+            None => {
+                // Model VM: rebuild the canonical deploy state it is known
+                // to be in. Parked guests never execute, so an incremental
+                // epoch on a model VM drains an *empty* dirty set — exactly
+                // what a materialized twin parked since its last epoch
+                // would produce.
+                let config = VmConfig::new(name).with_memory(self.params.guest_memory);
+                let mut scratch = Vm::new(config)?;
+                provision_canonical(&mut scratch, name, self.params.hot_tenant_modulus)?;
+                if parent_snap.is_some() {
+                    scratch.memory().clear_dirty();
+                }
+                scratch.capture_for_backup(label, parent_snap)?
             }
-            scratch.capture_for_backup(label, parent_snap)?
         };
         let n_vcpus = snapshot.vcpus.len();
         let (manifest, stats) = cas.ingest(&snapshot, parent)?;
@@ -1019,7 +1147,7 @@ impl Cluster {
             n_vcpus,
         );
         let dr = self.dr_endpoint();
-        let arrival = self.fabric.transfer(idx, dr, now, wire_bytes)?;
+        let arrival = self.fabric.transfer(pos, dr, now, wire_bytes)?;
         if self.trace.is_on() {
             let lag = arrival.saturating_sub(now);
             self.trace.span(
@@ -1028,8 +1156,8 @@ impl Cluster {
                 now,
                 arrival,
                 &[
-                    ("vm", ArgValue::Str(vm)),
-                    ("host", ArgValue::U64(idx as u64)),
+                    ("vm", ArgValue::Str(&self.names[key.index()])),
+                    ("host", ArgValue::U64(pos as u64)),
                     ("bytes", ArgValue::U64(wire_bytes)),
                     ("chunks_novel", ArgValue::U64(stats.chunks_novel)),
                     ("chunks_deduped", ArgValue::U64(stats.chunks_deduped)),
@@ -1091,49 +1219,48 @@ impl Cluster {
 
     /// Fail a host abruptly. Every VM on it is lost; returns their specs.
     pub fn fail_host(&mut self, host: HostId) -> Result<Vec<VmSpec>> {
+        Ok(self.fail_host_keyed(host)?.1)
+    }
+
+    /// [`Self::fail_host`], also returning the lost VMs' keys (slot for
+    /// slot with the specs).
+    pub(crate) fn fail_host_keyed(&mut self, host: HostId) -> Result<(Vec<VmKey>, Vec<VmSpec>)> {
         let idx = self.position(host)?;
         self.deindex(idx);
         let h = &mut self.hosts[idx];
         let was_on = h.power == HostPower::On;
+        let keys = std::mem::take(&mut h.keys);
         let lost = std::mem::take(&mut h.accounting.placed);
         h.vm_ids.clear();
-        h.models.clear();
         h.cpu_committed = h.accounting.cpu_committed();
         h.mem_committed = 0;
         // Drop the whole VMM: guest memory, switch, local snapshots — gone.
         h.vmm = Vmm::new(&format!("host-{}-dead", host.raw()));
         h.power = HostPower::Failed;
-        for spec in &lost {
-            self.vm_to_host.remove(&spec.name);
+        for key in &keys {
+            self.vm_to_host[key.index()] = None;
         }
         self.total_vms -= lost.len();
         if was_on {
             self.n_powered -= 1;
         }
         self.index(idx);
-        Ok(lost)
+        Ok((keys, lost))
     }
 
-    /// The dirty rate (bytes/second) last observed for the named VM during
-    /// a pre-copy migration, if any. Still-modeled VMs have never been
+    /// The dirty rate (bytes/second) last observed for `key` during a
+    /// pre-copy migration, if any. Still-modeled VMs have never been
     /// migrated, so they report `None` (the planner treats that as cold).
-    pub fn observed_dirty_rate(&self, vm: &str) -> Option<u64> {
-        let idx = *self.vm_to_host.get(vm)?;
-        let host = &self.hosts[idx];
-        let id = *host.vm_ids.get(vm)?;
-        host.vmm.observed_dirty_rate(id)
+    pub(crate) fn observed_dirty_rate(&self, key: VmKey) -> Option<u64> {
+        let host = &self.hosts[self.pos_of_key(key)?];
+        host.vmm.observed_dirty_rate(*host.vm_ids.get(&key)?)
     }
 
-    /// The named VM's spec (accounting-scale) memory — the guest-size
-    /// input to the adaptive migration planner.
-    pub fn spec_memory_of(&self, vm: &str) -> Option<ByteSize> {
-        let idx = *self.vm_to_host.get(vm)?;
-        self.hosts[idx]
-            .accounting
-            .placed
-            .iter()
-            .find(|s| s.name == vm)
-            .map(|s| s.memory)
+    /// `key`'s spec (accounting-scale) memory — the guest-size input to
+    /// the adaptive migration planner.
+    pub(crate) fn spec_memory_of(&self, key: VmKey) -> Option<ByteSize> {
+        let host = &self.hosts[self.pos_of_key(key)?];
+        Some(host.accounting.placed[host.slot(key)?].memory)
     }
 
     /// Live-migrate the named VM from its current host to `to` under a
@@ -1153,10 +1280,19 @@ impl Cluster {
         plan: &MigrationPlan,
         now: Nanoseconds,
     ) -> Result<MigrationReport> {
-        let from_idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
+        self.migrate_key(self.key_for(vm)?, to, plan, now)
+    }
+
+    /// [`Self::migrate_planned`] by key.
+    pub(crate) fn migrate_key(
+        &mut self,
+        key: VmKey,
+        to: HostId,
+        plan: &MigrationPlan,
+        now: Nanoseconds,
+    ) -> Result<MigrationReport> {
+        let from_idx = self.placed_pos(key)?;
+        let vm = &self.names[key.index()];
         let from = self.hosts[from_idx].id();
         if from == to {
             return Err(Error::Config(format!("{vm} is already on {to}")));
@@ -1165,20 +1301,16 @@ impl Cluster {
         if self.hosts[to_idx].power != HostPower::On {
             return Err(Error::Config(format!("{to} is not powered on")));
         }
-        let spec = self.hosts[from_idx]
-            .accounting
-            .placed
-            .iter()
-            .find(|s| s.name == vm)
-            .cloned()
-            .expect("vm_to_host is kept consistent with accounting");
-        if !self.hosts[to_idx].fits_cached(&spec) {
+        let slot = self.hosts[from_idx]
+            .slot(key)
+            .expect("vm_to_host is kept consistent with the key lists");
+        if !self.hosts[to_idx].fits_cached(&self.hosts[from_idx].accounting.placed[slot]) {
             return Err(Error::CapacityExceeded(format!(
                 "{vm} does not fit on {to}"
             )));
         }
         // The migration is about to stream this VM's memory: materialize.
-        self.materialize_at(from_idx, vm)?;
+        self.materialize_at(from_idx, key)?;
         // Where the stream will actually start once the fabric path frees
         // up — the span below reports the queueing ahead of the transfer.
         let queued_start = self.fabric.path_free_at(from_idx, to_idx)?.max(now);
@@ -1195,7 +1327,7 @@ impl Cluster {
             let (l, r) = self.hosts.split_at_mut(from_idx);
             (&mut r[0], &mut l[to_idx])
         };
-        let vm_id = *src.vm_ids.get(vm).expect("materialized above");
+        let vm_id = *src.vm_ids.get(&key).expect("materialized above");
         let trace = self.trace.clone();
         let migrated = FabricTransport::starting_at(&mut self.fabric, from_idx, to_idx, now)
             .and_then(|mut transport| {
@@ -1211,21 +1343,24 @@ impl Cluster {
             }
         };
         let src = &mut self.hosts[from_idx];
-        src.vm_ids.remove(vm);
-        let spec = src.accounting.evict(vm).expect("accounting tracked");
+        src.vm_ids.remove(&key);
+        src.keys.remove(slot);
+        let spec = src.accounting.placed.remove(slot);
         src.cpu_committed = src.accounting.cpu_committed();
         src.mem_committed = src.accounting.memory_committed().as_u64();
         let dst = &mut self.hosts[to_idx];
-        dst.vm_ids.insert(vm.to_string(), new_id);
+        dst.vm_ids.insert(key, new_id);
         let demand = spec.cpu_demand_cores;
         let mem = spec.memory.as_u64();
         dst.accounting.place(spec).expect("fits checked above");
+        dst.keys.push(key);
         dst.cpu_committed += demand;
         dst.mem_committed += mem;
         self.index(from_idx);
         self.index(to_idx);
-        self.vm_to_host.insert(vm.to_string(), to_idx);
+        self.vm_to_host[key.index()] = Some(to_idx);
         if self.trace.is_on() {
+            let vm = &self.names[key.index()];
             let end = queued_start.saturating_add(report.total_time);
             self.trace.span(
                 "cluster",
@@ -1266,58 +1401,30 @@ impl Cluster {
         to: HostId,
     ) -> Result<()> {
         let guest_memory = self.params.guest_memory;
-        let idx = self.position(to)?;
-        if self.hosts[idx].power != HostPower::On {
-            return Err(Error::Config(format!("{to} is not powered on")));
-        }
-        if self.vm_to_host.contains_key(&spec.name) {
-            return Err(Error::Config(format!(
-                "a VM named {} already exists in the cluster",
-                spec.name
-            )));
-        }
-        self.place_spec(idx, spec.clone())?;
         let hot_modulus = self.params.hot_tenant_modulus;
-        let restored = (|| {
-            let config = VmConfig::new(&spec.name).with_memory(guest_memory);
-            let restore_into = |vm: &mut Vm, snap: SnapshotId, store: &SnapshotStore| {
-                vm.restore_snapshot(snap, store)?;
-                vm.resume()?;
-                debug_assert_eq!(vm.lifecycle(), VmLifecycle::Running);
-                Ok(())
-            };
-            match backup {
-                BackupHandle::Stored(snap) => self.hosts[idx]
-                    .vmm
-                    .create_vm_with(config, |vm| restore_into(vm, snap, store)),
-                BackupHandle::Canonical => {
-                    // Rebuild the canonical snapshot this backup stood for.
-                    let mut scratch_store = SnapshotStore::new();
-                    let scratch_config = VmConfig::new(&spec.name).with_memory(guest_memory);
-                    let mut scratch = Vm::new(scratch_config)?;
-                    provision_canonical(&mut scratch, &spec.name, hot_modulus)?;
-                    let snap = scratch.snapshot("canonical", &mut scratch_store)?;
-                    self.hosts[idx]
-                        .vmm
-                        .create_vm_with(config, |vm| restore_into(vm, snap, &scratch_store))
-                }
-                BackupHandle::Manifested(m) => Err(Error::Config(format!(
-                    "{m} lives in the content-addressed store; use restore_manifested"
-                ))),
+        let restore_into = |vm: &mut Vm, snap: SnapshotId, store: &SnapshotStore| {
+            vm.restore_snapshot(snap, store)?;
+            vm.resume()?;
+            debug_assert_eq!(vm.lifecycle(), VmLifecycle::Running);
+            Ok(())
+        };
+        self.restore_with(spec, to, |vmm, config| match backup {
+            BackupHandle::Stored(snap) => {
+                vmm.create_vm_with(config, |vm| restore_into(vm, snap, store))
             }
-        })();
-        match restored {
-            Ok(id) => {
-                self.hosts[idx].vm_ids.insert(spec.name.clone(), id);
-                self.vm_to_host.insert(spec.name.clone(), idx);
-                self.total_vms += 1;
-                Ok(())
+            BackupHandle::Canonical => {
+                // Rebuild the canonical snapshot this backup stood for.
+                let mut scratch_store = SnapshotStore::new();
+                let scratch_config = VmConfig::new(&spec.name).with_memory(guest_memory);
+                let mut scratch = Vm::new(scratch_config)?;
+                provision_canonical(&mut scratch, &spec.name, hot_modulus)?;
+                let snap = scratch.snapshot("canonical", &mut scratch_store)?;
+                vmm.create_vm_with(config, |vm| restore_into(vm, snap, &scratch_store))
             }
-            Err(e) => {
-                self.evict_spec(idx, &spec.name);
-                Err(e)
-            }
-        }
+            BackupHandle::Manifested(m) => Err(Error::Config(format!(
+                "{m} lives in the content-addressed store; use restore_manifested"
+            ))),
+        })
     }
 
     /// Recreate the named VM on `to` from a deduplicated DR epoch and
@@ -1331,34 +1438,47 @@ impl Cluster {
         cas: &CasStore,
         to: HostId,
     ) -> Result<()> {
-        let guest_memory = self.params.guest_memory;
+        self.restore_with(spec, to, |vmm, config| {
+            vmm.create_vm_with(config, |vm| {
+                vm.restore_from_cas(manifest, cas)?;
+                vm.resume()?;
+                debug_assert_eq!(vm.lifecycle(), VmLifecycle::Running);
+                Ok(())
+            })
+        })
+    }
+
+    /// The restore skeleton: place `spec` on `to`, let `create` build the
+    /// live guest in the host's VMM, and roll the placement back if it
+    /// fails.
+    fn restore_with(
+        &mut self,
+        spec: &VmSpec,
+        to: HostId,
+        create: impl FnOnce(&mut Vmm, VmConfig) -> Result<VmId>,
+    ) -> Result<()> {
         let idx = self.position(to)?;
         if self.hosts[idx].power != HostPower::On {
             return Err(Error::Config(format!("{to} is not powered on")));
         }
-        if self.vm_to_host.contains_key(&spec.name) {
+        if self.is_placed(&spec.name) {
             return Err(Error::Config(format!(
                 "a VM named {} already exists in the cluster",
                 spec.name
             )));
         }
-        self.place_spec(idx, spec.clone())?;
-        let config = VmConfig::new(&spec.name).with_memory(guest_memory);
-        let restored = self.hosts[idx].vmm.create_vm_with(config, |vm| {
-            vm.restore_from_cas(manifest, cas)?;
-            vm.resume()?;
-            debug_assert_eq!(vm.lifecycle(), VmLifecycle::Running);
-            Ok(())
-        });
-        match restored {
+        let key = self.intern(&spec.name);
+        self.place_spec(idx, key, spec.clone())?;
+        let config = VmConfig::new(&spec.name).with_memory(self.params.guest_memory);
+        match create(&mut self.hosts[idx].vmm, config) {
             Ok(id) => {
-                self.hosts[idx].vm_ids.insert(spec.name.clone(), id);
-                self.vm_to_host.insert(spec.name.clone(), idx);
+                self.hosts[idx].vm_ids.insert(key, id);
+                self.vm_to_host[key.index()] = Some(idx);
                 self.total_vms += 1;
                 Ok(())
             }
             Err(e) => {
-                self.evict_spec(idx, &spec.name);
+                self.evict_spec(idx, key);
                 Err(e)
             }
         }
@@ -1380,11 +1500,29 @@ impl Cluster {
             assert_eq!(h.mem_committed, h.accounting.memory_committed().as_u64());
             assert_eq!(h.mem_capacity, h.accounting.memory_capacity().as_u64());
             assert_eq!(
-                h.vm_ids.len() + h.models.len(),
+                h.keys.len(),
                 h.accounting.vm_count(),
-                "{}: every placed VM must be live or modeled",
+                "{}: one key per placed VM",
                 h.id()
             );
+            for (&key, spec) in h.keys.iter().zip(&h.accounting.placed) {
+                assert_eq!(self.vm_to_host[key.index()], Some(pos));
+                assert_eq!(self.names[key.index()], spec.name);
+                assert_eq!(self.key_of(&spec.name), Some(key));
+            }
+            assert!(
+                h.vm_ids.keys().all(|key| h.keys.contains(key)),
+                "{}: a live guest is not placed here",
+                h.id()
+            );
+            if self.params.fidelity == VmFidelity::Full {
+                assert_eq!(
+                    h.vm_ids.len(),
+                    h.keys.len(),
+                    "{}: unmaterialized VM",
+                    h.id()
+                );
+            }
             total += h.accounting.vm_count();
             match h.power {
                 HostPower::On => {
@@ -1415,16 +1553,15 @@ impl Cluster {
                     assert_eq!(h.accounting.vm_count(), 0);
                 }
             }
-            for name in h.vm_ids.keys().chain(h.models.keys()) {
-                assert_eq!(self.vm_to_host.get(name), Some(&pos));
-            }
         }
         assert_eq!(self.total_vms, total);
         assert_eq!(self.n_powered, on);
         assert_eq!(self.by_util.len(), on);
         assert_eq!(self.free_cpu.len(), on);
         assert_eq!(self.free_mem.len(), on);
-        assert_eq!(self.vm_to_host.len(), total);
+        assert_eq!(self.vm_to_host.iter().flatten().count(), total);
+        assert_eq!(self.names.len(), self.key_index.len());
+        assert_eq!(self.names.len(), self.vm_to_host.len());
     }
 }
 
@@ -1485,7 +1622,7 @@ mod tests {
         assert_eq!(host, h);
         assert_eq!(spec.name, "a");
         assert_eq!(c.total_vms(), 0);
-        assert!(c.destroy("a").is_err());
+        assert!(matches!(c.destroy("a"), Err(Error::UnknownVmName(n)) if n == "a"));
         c.check_invariants();
     }
 
@@ -1640,7 +1777,10 @@ mod tests {
         let before = c.hosts()[0].cpu_utilization();
         c.set_cpu_demand("l", 8.0).unwrap();
         assert!(c.hosts()[0].cpu_utilization() > before);
-        assert!(c.set_cpu_demand("ghost", 1.0).is_err());
+        assert!(matches!(
+            c.set_cpu_demand("ghost", 1.0),
+            Err(Error::UnknownVmName(n)) if n == "ghost"
+        ));
         c.check_invariants();
     }
 
@@ -1928,6 +2068,47 @@ mod tests {
         assert_eq!(fs.memory, ds.memory);
         assert_eq!(fs.vcpus, ds.vcpus);
         assert_eq!(fs.device_state, ds.device_state);
+    }
+
+    /// Every name-keyed entry point reports a VM that was never deployed,
+    /// or has departed, as the typed unknown-name error carrying the name.
+    #[test]
+    fn unknown_vm_names_are_typed_errors() {
+        let mut c = Cluster::new(specs(2), on_demand_params()).unwrap();
+        c.deploy(HostId::new(0), web("gone")).unwrap();
+        c.destroy("gone").unwrap();
+        let mut store = SnapshotStore::new();
+        let mut cas = CasStore::new();
+        for name in ["never", "gone"] {
+            let unknown = |e: Error| matches!(e, Error::UnknownVmName(n) if n == name);
+            assert!(unknown(c.destroy(name).unwrap_err()));
+            assert!(unknown(c.materialize(name).unwrap_err()));
+            assert!(unknown(c.set_cpu_demand(name, 1.0).unwrap_err()));
+            assert!(unknown(
+                c.backup(name, "b", &mut store, Nanoseconds::ZERO)
+                    .unwrap_err()
+            ));
+            assert!(unknown(
+                c.backup_dedup(name, "b", &mut cas, None, Nanoseconds::ZERO)
+                    .unwrap_err()
+            ));
+            assert!(unknown(
+                c.migrate_planned(
+                    name,
+                    HostId::new(1),
+                    &plan(PlanEngine::PreCopy),
+                    Nanoseconds::ZERO
+                )
+                .unwrap_err()
+            ));
+        }
+        // A departed VM keeps its key, so a later VM reusing the name gets
+        // the same key back.
+        let key = c.key_of("gone").unwrap();
+        c.deploy(HostId::new(1), web("gone")).unwrap();
+        assert_eq!(c.key_of("gone"), Some(key));
+        assert_eq!(c.hosts()[1].keys, [key]);
+        c.check_invariants();
     }
 
     #[test]

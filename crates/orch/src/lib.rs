@@ -104,6 +104,21 @@
 //! preserves `(Nanoseconds, seq)` FIFO ordering exactly — proptest-pinned
 //! against the retained [`MinHeapQueue`] reference implementation.
 //!
+//! ### Dense VM keys
+//!
+//! Per-VM state is keyed by a [`VmKey`], a dense `u32` the [`Cluster`]
+//! interns for a VM name the first time a VM by that name is deployed or
+//! restored. Keys are never reused or forgotten: a key outlives its VM's
+//! departure and, deliberately, its host's failure, because the restore
+//! that follows a failure must find the DR backups and manifest chain
+//! recorded under the same key while the VM is on no host at all. Host
+//! positions, DR backups and manifest chains are therefore plain vectors
+//! indexed by key, and each host lists its VMs' keys in placement order.
+//! An event names its VM once, and the orchestrator resolves that name to
+//! its key once, at the event boundary; everything after that, including
+//! every per-VM step of a backup sweep ([`Cluster::backup_sweep`]), is an
+//! index, never a name lookup or a `String` clone.
+//!
 //! ```
 //! use rvisor_orch::{
 //!     run_datacenter, OrchParams, Scenario, ScenarioConfig, ThresholdRebalance, WorkloadShape,
@@ -135,7 +150,7 @@ pub mod policy;
 pub mod report;
 pub mod scenario;
 
-pub use cluster::{BackupHandle, Cluster, HostPower, OrchHost};
+pub use cluster::{BackupHandle, Cluster, HostPower, OrchHost, VmKey};
 pub use event::{EventQueue, MinHeapQueue, OrchEvent, Scheduled};
 pub use orchestrator::{run_datacenter, Orchestrator};
 pub use params::{EngineChoice, FabricTopology, OrchParams, VmFidelity, MIN_GUEST_MEMORY};

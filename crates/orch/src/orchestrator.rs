@@ -9,7 +9,7 @@ use rvisor_snapshot::store::MAX_CHAIN_LENGTH;
 use rvisor_snapshot::{CasStore, ManifestId, SnapshotStore};
 use rvisor_types::{ByteSize, Error, HostId, Nanoseconds, Result};
 
-use crate::cluster::{BackupHandle, Cluster, HostPower};
+use crate::cluster::{BackupHandle, Cluster, HostPower, VmKey};
 use crate::event::{EventQueue, OrchEvent};
 use crate::params::{EngineChoice, OrchParams};
 use crate::planner::MigrationPlanner;
@@ -45,6 +45,17 @@ struct VmBackups {
     ready: Option<(BackupHandle, ByteSize)>,
     /// A backup still crossing the fabric, its size and arrival instant.
     inflight: Option<(BackupHandle, ByteSize, Nanoseconds)>,
+}
+
+/// The entry for `key` in a per-VM table, growing the table on demand.
+/// Keys are dense, so a table holds at most one entry per name the
+/// cluster has interned.
+fn slot<T: Default>(table: &mut Vec<T>, key: VmKey) -> &mut T {
+    let i = key.index();
+    if i >= table.len() {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
 }
 
 /// Delete the snapshot behind a handle, if it owns one (canonical model
@@ -145,21 +156,19 @@ pub struct Orchestrator {
     /// The content-addressed DR store ([`OrchParams::dedup_backups`]); empty
     /// and untouched when dedup is off.
     dr_cas: CasStore,
-    /// DR backups per VM name (newest arrived + newest in flight).
-    backups: BTreeMap<String, VmBackups>,
-    /// Manifest chains per VM name (dedup mode's counterpart of `backups`).
-    chains: BTreeMap<String, VmChain>,
+    /// DR backups per [`VmKey`] (newest arrived + newest in flight).
+    backups: Vec<VmBackups>,
+    /// Manifest chains per [`VmKey`] (dedup mode's counterpart of
+    /// `backups`); `None` until the VM's first dedup epoch.
+    chains: Vec<Option<VmChain>>,
     pending_placement: Vec<PendingVm>,
-    pending_restores: BTreeMap<String, PendingRestore>,
+    pending_restores: BTreeMap<VmKey, PendingRestore>,
     /// Arrival instants of VMs placed or waiting (for placement latency).
     report: OrchReport,
     /// Per-host power accounting: (currently powered, last flip instant).
     power_marks: Vec<(bool, Nanoseconds)>,
     /// `RestoreComplete` events scheduled by failure handling (conservation).
     restores_scheduled: u64,
-    /// Scratch work list reused by every backup tick, so the periodic
-    /// backup sweep stops allocating its queue once the fleet size is known.
-    backup_queue: Vec<String>,
     /// Observability plane: off by default, costing one branch per hook.
     trace: Trace,
     /// Thresholds for resolving [`EngineChoice::Auto`] decisions into a
@@ -186,14 +195,13 @@ impl Orchestrator {
             horizon: Nanoseconds::ZERO,
             dr_store: SnapshotStore::new(),
             dr_cas: CasStore::new(),
-            backups: BTreeMap::new(),
-            chains: BTreeMap::new(),
+            backups: Vec::new(),
+            chains: Vec::new(),
             pending_placement: Vec::new(),
             pending_restores: BTreeMap::new(),
             report: OrchReport::default(),
             power_marks: vec![(true, Nanoseconds::ZERO); n_hosts],
             restores_scheduled: 0,
-            backup_queue: Vec::new(),
             trace: Trace::off(),
             planner: MigrationPlanner::default(),
         })
@@ -438,11 +446,11 @@ impl Orchestrator {
     /// Release every DR snapshot held for a departed VM — and, in dedup
     /// mode, retire its whole manifest chain so the chunks it pinned are
     /// garbage-collected.
-    fn drop_backups(&mut self, vm: &str) {
-        if let Some(b) = self.backups.remove(vm) {
-            b.drop_all(&mut self.dr_store);
+    fn drop_backups(&mut self, key: VmKey) {
+        if let Some(b) = self.backups.get_mut(key.index()) {
+            std::mem::take(b).drop_all(&mut self.dr_store);
         }
-        if let Some(mut chain) = self.chains.remove(vm) {
+        if let Some(mut chain) = self.chains.get_mut(key.index()).and_then(Option::take) {
             let epochs = (chain.links.len() + chain.prev.len()) as u64;
             retire_links(&mut chain.links, &mut self.dr_cas);
             retire_links(&mut chain.prev, &mut self.dr_cas);
@@ -451,7 +459,10 @@ impl Orchestrator {
                     "dr/cas",
                     "retire-chain",
                     self.now,
-                    &[("vm", ArgValue::Str(vm)), ("epochs", ArgValue::U64(epochs))],
+                    &[
+                        ("vm", ArgValue::Str(self.cluster.name_of(key))),
+                        ("epochs", ArgValue::U64(epochs)),
+                    ],
                 );
             }
         }
@@ -464,8 +475,8 @@ impl Orchestrator {
     /// generation is the fallback. Marks the chain to recapture in full,
     /// since the restored guest's dirty bitmap will not correspond to any
     /// recorded epoch.
-    fn restorable_epoch(&mut self, vm: &str) -> Option<(BackupHandle, ByteSize)> {
-        let chain = self.chains.get_mut(vm)?;
+    fn restorable_epoch(&mut self, key: VmKey) -> Option<(BackupHandle, ByteSize)> {
+        let chain = self.chains.get_mut(key.index())?.as_mut()?;
         chain.settle(&mut self.dr_cas, self.now);
         let arrived = VmChain::newest_arrived(&chain.links, self.now);
         if arrived == 0 {
@@ -476,7 +487,7 @@ impl Orchestrator {
                 let _ = self.dr_cas.retire(m);
             }
             if arrived_prev == 0 {
-                self.chains.remove(vm);
+                self.chains[key.index()] = None;
                 return None;
             }
             chain.links = std::mem::take(&mut chain.prev);
@@ -493,9 +504,10 @@ impl Orchestrator {
     }
 
     fn on_departure(&mut self, vm: &str) -> Result<()> {
-        if self.cluster.host_of(vm).is_some() {
-            self.cluster.destroy(vm)?;
-            self.drop_backups(vm);
+        let key = self.cluster.key_of(vm);
+        if let Some(key) = key.filter(|&k| self.cluster.pos_of_key(k).is_some()) {
+            self.cluster.destroy_key(key)?;
+            self.drop_backups(key);
             self.report.vms_departed += 1;
             self.drain_pending()?;
             return Ok(());
@@ -509,14 +521,15 @@ impl Orchestrator {
             self.report.vms_departed += 1;
             return Ok(());
         }
-        if let Some(pr) = self.pending_restores.remove(vm) {
+        let restoring = key.and_then(|k| self.pending_restores.remove(&k).map(|pr| (k, pr)));
+        if let Some((key, pr)) = restoring {
             // The tenant gave up on a VM we were still restoring: the outage
             // ran from the failure to this departure.
             self.report.vm_time_lost = self
                 .report
                 .vm_time_lost
                 .saturating_add(self.now.saturating_sub(pr.failed_at));
-            self.drop_backups(vm);
+            self.drop_backups(key);
             self.report.vms_departed += 1;
             return Ok(());
         }
@@ -527,8 +540,9 @@ impl Orchestrator {
 
     fn on_load_change(&mut self, vm: &str, millicores: u32) -> Result<()> {
         let demand = millicores as f64 / 1000.0;
-        if self.cluster.host_of(vm).is_some() {
-            self.cluster.set_cpu_demand(vm, demand)?;
+        let key = self.cluster.key_of(vm);
+        if let Some(key) = key.filter(|&k| self.cluster.pos_of_key(k).is_some()) {
+            self.cluster.set_cpu_demand_key(key, demand)?;
             return Ok(());
         }
         if let Some(p) = self
@@ -539,7 +553,7 @@ impl Orchestrator {
             p.spec.cpu_demand_cores = demand;
             return Ok(());
         }
-        if let Some(pr) = self.pending_restores.get_mut(vm) {
+        if let Some(pr) = key.and_then(|k| self.pending_restores.get_mut(&k)) {
             pr.spec.cpu_demand_cores = demand;
             return Ok(());
         }
@@ -556,7 +570,7 @@ impl Orchestrator {
             self.report.events_dropped += 1;
             return Ok(());
         }
-        let lost = self.cluster.fail_host(host)?;
+        let (keys, lost) = self.cluster.fail_host_keyed(host)?;
         self.report.hosts_failed += 1;
         self.report.vms_lost_at_failure += lost.len() as u64;
         self.note_power_change(host);
@@ -578,14 +592,14 @@ impl Orchestrator {
         let mut done_at = self
             .now
             .saturating_add(self.params.failover_detection_delay);
-        for spec in lost {
+        for (key, spec) in keys.into_iter().zip(lost) {
             // Only a backup whose stream has fully arrived at the DR target
             // by the failure instant is restorable; bytes still on the wire
             // do not count (the retained previous backup does).
             let restorable = if self.params.dedup_backups {
-                self.restorable_epoch(&spec.name)
+                self.restorable_epoch(key)
             } else {
-                match self.backups.get_mut(&spec.name) {
+                match self.backups.get_mut(key.index()) {
                     Some(b) => {
                         b.settle(&mut self.dr_store, self.now);
                         b.ready
@@ -598,20 +612,16 @@ impl Orchestrator {
                     done_at = done_at
                         .saturating_add(self.params.backup_target.restore_setup)
                         .saturating_add(self.params.backup_target.read_time(size));
+                    let vm = spec.name.clone();
                     self.pending_restores.insert(
-                        spec.name.clone(),
+                        key,
                         PendingRestore {
-                            spec: spec.clone(),
+                            spec,
                             backup,
                             failed_at: self.now,
                         },
                     );
-                    self.queue.push(
-                        done_at,
-                        OrchEvent::RestoreComplete {
-                            vm: spec.name.clone(),
-                        },
-                    );
+                    self.queue.push(done_at, OrchEvent::RestoreComplete { vm });
                     self.restores_scheduled += 1;
                     if self.trace.is_on() {
                         self.trace.instant(
@@ -619,7 +629,7 @@ impl Orchestrator {
                             "restore-scheduled",
                             self.now,
                             &[
-                                ("vm", ArgValue::Str(&spec.name)),
+                                ("vm", ArgValue::Str(self.cluster.name_of(key))),
                                 ("ready_at_ns", ArgValue::U64(done_at.as_nanos())),
                                 (
                                     "reason",
@@ -635,7 +645,7 @@ impl Orchestrator {
                     // name still holds so they cannot leak in the DR store —
                     // or settle later and restore an unrelated future VM
                     // that reuses the name.
-                    self.drop_backups(&spec.name);
+                    self.drop_backups(key);
                     self.report.vms_lost_permanently += 1;
                     self.report.vm_time_lost = self
                         .report
@@ -656,7 +666,11 @@ impl Orchestrator {
     }
 
     fn on_restore_complete(&mut self, vm: &str) -> Result<()> {
-        let Some(pr) = self.pending_restores.remove(vm) else {
+        let Some(pr) = self
+            .cluster
+            .key_of(vm)
+            .and_then(|key| self.pending_restores.remove(&key))
+        else {
             // Restore was cancelled (the VM departed mid-restore).
             self.report.events_dropped += 1;
             return Ok(());
@@ -736,7 +750,7 @@ impl Orchestrator {
     /// [`EngineChoice::Auto`] consults the adaptive planner with the VM's
     /// observed dirty rate, spec size and the current fabric backlog, and
     /// emits the decision as a typed `orch/planner` instant.
-    fn resolve_plan(&mut self, choice: EngineChoice, vm: &str) -> MigrationPlan {
+    fn resolve_plan(&mut self, choice: EngineChoice, key: VmKey) -> MigrationPlan {
         if let Some(engine) = choice.plan_engine() {
             return MigrationConfig {
                 streams: self.params.migration_streams,
@@ -745,8 +759,8 @@ impl Orchestrator {
             }
             .plan(engine);
         }
-        let dirty_rate = self.cluster.observed_dirty_rate(vm).unwrap_or(0);
-        let guest = self.cluster.spec_memory_of(vm).unwrap_or(ByteSize::new(0));
+        let dirty_rate = self.cluster.observed_dirty_rate(key).unwrap_or(0);
+        let guest = self.cluster.spec_memory_of(key).unwrap_or(ByteSize::new(0));
         let backlog = self.cluster.fabric().free_at().saturating_sub(self.now);
         let chosen = self.planner.plan(dirty_rate, guest, backlog);
         self.report.planner_decisions += 1;
@@ -764,7 +778,7 @@ impl Orchestrator {
                 "plan",
                 self.now,
                 &[
-                    ("vm", ArgValue::Str(vm)),
+                    ("vm", ArgValue::Str(self.cluster.name_of(key))),
                     ("engine", ArgValue::Str(chosen.plan.engine.name())),
                     (
                         "fault_service",
@@ -835,7 +849,11 @@ impl Orchestrator {
                 );
                 self.trace.add("policy.decisions", 1);
             }
-            let Some(from) = self.cluster.host_of(&decision.vm) else {
+            let Some((key, from)) = self
+                .cluster
+                .key_of(&decision.vm)
+                .and_then(|key| self.cluster.host_of_key(key).map(|from| (key, from)))
+            else {
                 self.report.migrations_skipped += 1;
                 continue;
             };
@@ -882,10 +900,10 @@ impl Orchestrator {
                     .unwrap_or(Nanoseconds::ZERO),
                 _ => Nanoseconds::ZERO,
             };
-            let exec_plan = self.resolve_plan(decision.engine, &decision.vm);
+            let exec_plan = self.resolve_plan(decision.engine, key);
             match self
                 .cluster
-                .migrate_planned(&decision.vm, decision.to, &exec_plan, self.now)
+                .migrate_key(key, decision.to, &exec_plan, self.now)
             {
                 Ok(r) => {
                     self.report.migrations_completed += 1;
@@ -910,10 +928,8 @@ impl Orchestrator {
                     // the last recorded epoch (zero-run pages skipped on the
                     // wire are not marked dirty at the destination): restart
                     // the VM's dedup chain with a full capture.
-                    if self.params.dedup_backups {
-                        if let Some(chain) = self.chains.get_mut(&decision.vm) {
-                            chain.force_full = true;
-                        }
+                    if let Some(Some(chain)) = self.chains.get_mut(key.index()) {
+                        chain.force_full = true;
                     }
                 }
                 Err(_) => self.report.migrations_skipped += 1,
@@ -943,48 +959,35 @@ impl Orchestrator {
         if self.params.dedup_backups {
             return self.on_backup_tick_dedup();
         }
-        // The work list is a field, not a local: its backbone is reused
-        // across ticks (the per-name `String` clones remain, but the queue
-        // itself stops reallocating once it has seen the fleet size).
-        let mut queue = std::mem::take(&mut self.backup_queue);
-        queue.clear();
-        queue.extend(
-            self.cluster
-                .hosts()
-                .iter()
-                .filter(|h| h.power() == HostPower::On)
-                .flat_map(|h| h.vm_names()),
-        );
         let label = format!("backup@{}", self.now.as_nanos());
-        for name in queue.drain(..) {
-            // The snapshot streams across the shared fabric to the DR
-            // endpoint (contending with any in-flight migrations), then is
-            // written to the backup target's storage.
-            let (snap, size, arrival) =
-                self.cluster
-                    .backup(&name, &label, &mut self.dr_store, self.now)?;
-            self.report.backups_taken += 1;
-            self.report.backup_bytes += size.as_u64();
-            let network_time = arrival.saturating_sub(self.now);
-            self.report.backup_time_total = self
-                .report
-                .backup_time_total
-                .saturating_add(network_time)
-                .saturating_add(self.params.backup_target.write_time(size));
-            // Bounded DR storage per VM: the newest arrived backup plus at
-            // most one in flight. A still-streaming predecessor is
-            // superseded (its stream is abandoned and its snapshot
-            // dropped); the new backup becomes restorable only once its own
-            // stream arrives.
-            let entry = self.backups.entry(name).or_default();
-            entry.settle(&mut self.dr_store, self.now);
-            if let Some((superseded, _, _)) = entry.inflight.replace((snap, size, arrival)) {
-                discard(superseded, &mut self.dr_store);
-            }
-        }
-        // Hand the (now empty) queue buffer back for reuse by the next tick.
-        self.backup_queue = queue;
-        Ok(())
+        // The snapshot streams across the shared fabric to the DR endpoint
+        // (contending with any in-flight migrations), then is written to
+        // the backup target's storage.
+        self.cluster.backup_sweep(
+            &label,
+            &mut self.dr_store,
+            self.now,
+            |key, store, snap, size, arrival| {
+                self.report.backups_taken += 1;
+                self.report.backup_bytes += size.as_u64();
+                let network_time = arrival.saturating_sub(self.now);
+                self.report.backup_time_total = self
+                    .report
+                    .backup_time_total
+                    .saturating_add(network_time)
+                    .saturating_add(self.params.backup_target.write_time(size));
+                // Bounded DR storage per VM: the newest arrived backup plus
+                // at most one in flight. A still-streaming predecessor is
+                // superseded (its stream is abandoned and its snapshot
+                // dropped); the new backup becomes restorable only once its
+                // own stream arrives.
+                let entry = slot(&mut self.backups, key);
+                entry.settle(store, self.now);
+                if let Some((superseded, _, _)) = entry.inflight.replace((snap, size, arrival)) {
+                    discard(superseded, store);
+                }
+            },
+        )
     }
 
     /// The deduplicated backup sweep ([`OrchParams::dedup_backups`]): each
@@ -994,19 +997,10 @@ impl Orchestrator {
     /// the content-addressed store, and only novel chunks ship across the
     /// fabric — already-known pages go as references.
     fn on_backup_tick_dedup(&mut self) -> Result<()> {
-        let mut queue = std::mem::take(&mut self.backup_queue);
-        queue.clear();
-        queue.extend(
-            self.cluster
-                .hosts()
-                .iter()
-                .filter(|h| h.power() == HostPower::On)
-                .flat_map(|h| h.vm_names()),
-        );
         let label = format!("backup@{}", self.now.as_nanos());
-        for name in queue.drain(..) {
+        self.cluster.sweep(|cluster, pos, key| {
             let parent = {
-                let chain = self.chains.entry(name.clone()).or_default();
+                let chain = slot(&mut self.chains, key).get_or_insert_with(VmChain::default);
                 chain.settle(&mut self.dr_cas, self.now);
                 if chain.force_full || chain.links.len() >= MAX_CHAIN_LENGTH {
                     None
@@ -1014,9 +1008,8 @@ impl Orchestrator {
                     chain.links.last().map(|&(m, _)| m)
                 }
             };
-            let b = self
-                .cluster
-                .backup_dedup(&name, &label, &mut self.dr_cas, parent, self.now)?;
+            let b =
+                cluster.backup_dedup_at(pos, key, &label, &mut self.dr_cas, parent, self.now)?;
             self.report.backups_taken += 1;
             // `backup_bytes` keeps its bytes-on-wire meaning, so the
             // dedup-on/off comparison reads straight off the report.
@@ -1042,7 +1035,7 @@ impl Orchestrator {
                     "ingest",
                     self.now,
                     &[
-                        ("vm", ArgValue::Str(&name)),
+                        ("vm", ArgValue::Str(cluster.name_of(key))),
                         ("manifest", ArgValue::U64(b.manifest.0)),
                         ("full", ArgValue::U64(u64::from(parent.is_none()))),
                         ("chunks_novel", ArgValue::U64(b.stats.chunks_novel)),
@@ -1053,7 +1046,7 @@ impl Orchestrator {
                 self.trace.add("cas.chunks_shipped", b.stats.chunks_novel);
                 self.trace.add("cas.chunks_deduped", b.stats.chunks_deduped);
             }
-            let chain = self.chains.get_mut(&name).expect("inserted above");
+            let chain = self.chains[key.index()].as_mut().expect("inserted above");
             if parent.is_none() {
                 // A new full supersedes the previous generation: whatever
                 // `prev` still held is retired now, and the old chain is
@@ -1063,9 +1056,8 @@ impl Orchestrator {
                 chain.force_full = false;
             }
             chain.links.push((b.manifest, b.arrival));
-        }
-        self.backup_queue = queue;
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -1862,6 +1854,97 @@ mod tests {
             r.migrations_completed + r.migrations_skipped
         );
         assert_eq!(run(), r);
+    }
+
+    /// A reduced on-demand DR day: 64 hosts, 2k arrivals, two host
+    /// failures (so restores read DR state after the VM's host is gone),
+    /// spread placement and rebalancing (so some VMs materialize and back
+    /// up as stored snapshots while the rest stay canonical models).
+    fn ondemand_dr_day(dedup_backups: bool) -> OrchReport {
+        use rvisor_cluster::PlacementStrategy;
+        let cfg = ScenarioConfig {
+            duration: Nanoseconds::from_secs(6 * 3600),
+            ..ScenarioConfig::day(0x60_1d, WorkloadShape::DiurnalWave, 64, 2_000)
+        }
+        .with_host_failures(2);
+        let s = Scenario::generate(cfg).unwrap();
+        let params = OrchParams {
+            placement: PlacementStrategy::Spread,
+            fidelity: crate::params::VmFidelity::OnDemand,
+            guest_memory: crate::params::MIN_GUEST_MEMORY,
+            spread_utilization_gap: 0.05,
+            dedup_backups,
+            backup_interval: Nanoseconds::from_secs(1800),
+            ..fast_params()
+        };
+        run_datacenter(64, params, Box::new(SpreadRebalance), &s).unwrap()
+    }
+
+    /// Both DR modes of [`ondemand_dr_day`] reproduce the reports captured
+    /// before per-VM state was keyed by [`crate::VmKey`]: the dense-key
+    /// bookkeeping (backup sweeps, chains, restores after a failure) must
+    /// not move a single simulated figure.
+    #[test]
+    fn ondemand_dr_day_report_is_golden() {
+        let plain = OrchReport {
+            sim_end: Nanoseconds(21600000000000),
+            events_processed: 6658,
+            events_dropped: 11,
+            vms_arrived: 2000,
+            vms_placed: 2000,
+            placements_deferred: 0,
+            placements_unmet: 0,
+            placement_latency_total: Nanoseconds(90000000000000),
+            placement_latency_max: Nanoseconds(45000000000),
+            vms_departed: 606,
+            vms_running_at_end: 1390,
+            peak_vms: 1447,
+            migrations_planned: 100,
+            migrations_completed: 100,
+            migrations_skipped: 0,
+            migration_downtime_total: Nanoseconds(10343200),
+            migration_time_total: Nanoseconds(25675300),
+            migration_fabric_wait_total: Nanoseconds(30392691),
+            migration_bytes: 6995400,
+            downtime_duration_integral: 2655647629600,
+            planner_decisions: 0,
+            planner_stop_and_copy: 0,
+            planner_pre_copy: 0,
+            planner_post_copy: 0,
+            planner_fault_lane: 0,
+            backups_taken: 9517,
+            backup_bytes: 628807224,
+            backup_time_total: Nanoseconds(312656979923),
+            backup_chunks_shipped: 0,
+            backup_chunks_deduped: 0,
+            backup_bytes_deduped: 0,
+            dr_store_chunks: 0,
+            dr_store_bytes: 0,
+            hosts_failed: 2,
+            spines_failed: 0,
+            vms_lost_at_failure: 32,
+            vms_restored: 27,
+            vms_lost_permanently: 4,
+            vm_time_lost: Nanoseconds(92557761558151),
+            power_on_actions: 0,
+            power_off_actions: 0,
+            powered_host_time: Nanoseconds(1359927800416752),
+            peak_hosts_powered: 63,
+            hosts_powered_at_end: 62,
+        };
+        assert_eq!(ondemand_dr_day(false), plain);
+        let dedup = OrchReport {
+            backup_bytes: 72487946,
+            backup_time_total: Nanoseconds(39574026593),
+            backup_chunks_shipped: 7838,
+            backup_chunks_deduped: 25234,
+            backup_bytes_deduped: 103358464,
+            dr_store_chunks: 5486,
+            dr_store_bytes: 22470656,
+            vm_time_lost: Nanoseconds(92557766628028),
+            ..plain
+        };
+        assert_eq!(ondemand_dr_day(true), dedup);
     }
 
     #[test]

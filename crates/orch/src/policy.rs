@@ -132,7 +132,7 @@ fn engine_for(cluster: &Cluster, from: HostId, vm: &str, params: &OrchParams) ->
         return EngineChoice::StopAndCopy;
     };
     let host = cluster.host_at(pos);
-    let running = host.is_model(vm)
+    let running = cluster.key_of(vm).is_some_and(|key| host.is_model(key))
         || host
             .vmm()
             .find_vm(vm)

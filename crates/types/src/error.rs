@@ -77,6 +77,8 @@ pub enum Error {
     Net(String),
     /// The referenced VM does not exist.
     UnknownVm(VmId),
+    /// No VM by this name exists where the operation looked for it.
+    UnknownVmName(String),
     /// The referenced vCPU does not exist.
     UnknownVcpu(VcpuId),
     /// The referenced host does not exist.
@@ -143,6 +145,7 @@ impl fmt::Display for Error {
             Error::Block(msg) => write!(f, "block backend error: {msg}"),
             Error::Net(msg) => write!(f, "network error: {msg}"),
             Error::UnknownVm(id) => write!(f, "unknown VM {id}"),
+            Error::UnknownVmName(name) => write!(f, "no VM named {name}"),
             Error::UnknownVcpu(id) => write!(f, "unknown vCPU {id}"),
             Error::UnknownHost(id) => write!(f, "unknown host {id}"),
             Error::InvalidVmState { operation, state } => {

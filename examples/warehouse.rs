@@ -10,8 +10,9 @@
 //! migration or restore actually needs guest pages).
 //!
 //! Everything printed to stdout is deterministic: the same binary run twice
-//! byte-diffs clean, which the `scale-smoke` CI job enforces. Wall-clock
-//! timing goes to stderr.
+//! byte-diffs clean, and the output matches `examples/warehouse.stdout`,
+//! both of which the `scale-smoke` CI job enforces. Wall-clock timing goes
+//! to stderr.
 //!
 //! ```text
 //! cargo run --release --example warehouse
