@@ -19,7 +19,7 @@ use rvisor_migrate::{
     migrate, ConstantRateDirtier, DirtySource, FabricTransport, IdleDirtier, LoopbackTransport,
     MigrationPlan, MigrationReport, Transport,
 };
-use rvisor_net::{Fabric, FabricParams, Link, LinkModel, DEFAULT_CHUNK_OVERHEAD};
+use rvisor_net::{ClosFabric, ClosParams, FabricParams, Link, LinkModel, DEFAULT_CHUNK_OVERHEAD};
 use rvisor_obs::Trace;
 use rvisor_types::{ByteSize, GuestAddress, Nanoseconds, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
@@ -67,7 +67,7 @@ fn run(
 /// A dirtying pre-copy across a 2-host fabric; also returns the fabric's
 /// wire bytes (payload plus per-stream chunk framing).
 fn fabric_run(params: FabricParams, streams: usize, dirty: f64) -> (MigrationReport, u64) {
-    let mut fabric = Fabric::new(2, params).unwrap();
+    let mut fabric = ClosFabric::new(2, ClosParams::single_spine(params, 2)).unwrap();
     let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
     let mut dirtier =
         ConstantRateDirtier::from_bandwidth_fraction(params.nic_bytes_per_second, dirty, 0, PAGES);

@@ -37,7 +37,7 @@ use rvisor_migrate::{
     LoopbackTransport, MigrationPlan, MigrationReport, MigrationSink, MigrationSource, PlanEngine,
     Transport,
 };
-use rvisor_net::{ClosFabric, ClosParams, Fabric, FabricParams, Link, LinkModel};
+use rvisor_net::{ClosFabric, ClosParams, FabricParams, Link, LinkModel};
 use rvisor_obs::{ArgValue, Args as TraceArgs, Trace, TraceSink};
 use rvisor_orch::{
     run_datacenter, BackupHandle, Cluster, EngineChoice, EventQueue, FabricTopology, OrchEvent,
@@ -340,7 +340,7 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
         let params = FabricParams::datacenter();
         let ns = measure(samples, || {
             let (src, dst) = sparse_memories(PAGES);
-            let mut fabric = Fabric::new(2, params).unwrap();
+            let mut fabric = ClosFabric::new(2, ClosParams::single_spine(params, 2)).unwrap();
             let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
             let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
                 params.nic_bytes_per_second,
@@ -363,7 +363,8 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
 
     // -- fabric timing model (pure integer arithmetic) --
     {
-        let mut fabric = Fabric::new(16, FabricParams::datacenter()).unwrap();
+        let single_spine = ClosParams::single_spine(FabricParams::datacenter(), 16);
+        let mut fabric = ClosFabric::new(16, single_spine).unwrap();
         let mut i = 0usize;
         let ns = measure(samples, || {
             i = (i + 1) % 15;

@@ -216,15 +216,6 @@ pub fn xbzrle_apply_in_place(page: &mut [u8], delta: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Apply an XBZRLE delta to `old`, producing the new page contents.
-///
-/// Allocating convenience wrapper over [`xbzrle_apply_in_place`].
-pub fn xbzrle_decode(old: &[u8], delta: &[u8]) -> Result<Vec<u8>> {
-    let mut out = old.to_vec();
-    xbzrle_apply_in_place(&mut out, delta)?;
-    Ok(out)
-}
-
 /// Counters describing what the compressor did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompressionStats {
@@ -262,7 +253,7 @@ impl CompressionStats {
 ///
 /// The destination does not need an explicit object: raw pages overwrite,
 /// zero markers zero the page, and deltas are applied to the destination's
-/// current copy via [`xbzrle_decode`].
+/// current copy in place via [`xbzrle_apply_in_place`].
 #[derive(Debug)]
 pub struct PageCompressor {
     mode: PageCompression,
@@ -396,6 +387,14 @@ impl PageCompressor {
 mod tests {
     use super::*;
     use rvisor_types::PAGE_SIZE;
+
+    /// Apply an XBZRLE delta to `old`, producing the new page contents
+    /// (allocating test helper over [`xbzrle_apply_in_place`]).
+    fn xbzrle_decode(old: &[u8], delta: &[u8]) -> Result<Vec<u8>> {
+        let mut out = old.to_vec();
+        xbzrle_apply_in_place(&mut out, delta)?;
+        Ok(out)
+    }
 
     fn page_of(byte: u8) -> Vec<u8> {
         vec![byte; PAGE_SIZE as usize]

@@ -39,8 +39,10 @@
 //! [`Transport::transmit_striped`], which models N chunk streams *fairly
 //! sharing* the path — on a loopback that is exactly the aggregate burst
 //! (keeping the `==` pin to the serial plane), and on a
-//! [`Fabric`](rvisor_net::Fabric) each stream additionally pays its own MTU
-//! chunk framing, so simulated time is never *better* than serial. What
+//! [`ClosFabric`](rvisor_net::ClosFabric) each stream additionally pays its
+//! own MTU chunk framing, so on the single-spine preset and inside a rack
+//! simulated time is never *better* than serial (a cross-rack burst on a
+//! multi-spine fabric is the one place striping wins simulated time). What
 //! parallel streams buy is **host wall-clock**: encode and apply overlap
 //! and encode itself fans out across cores, which is the speedup experiment
 //! E18 measures. On a single-core host the pipeline degrades gracefully to
@@ -557,7 +559,7 @@ mod tests {
     use crate::plan::{MigrationPlan, PlanEngine};
     use crate::report::{MigrationKind, MigrationReport, RoundStat};
     use crate::transport::{FabricTransport, LoopbackTransport};
-    use rvisor_net::{Fabric, FabricParams, Link, LinkModel};
+    use rvisor_net::{ClosFabric, ClosParams, FabricParams, Link, LinkModel};
     use rvisor_types::{ByteSize, GuestAddress, PAGE_SIZE};
 
     const ENGINES: [PlanEngine; 3] = [
@@ -677,7 +679,9 @@ mod tests {
         let pages = 512u64;
         let run = |n: usize| {
             let (src, dst) = memories(pages);
-            let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
+            let mut fabric =
+                ClosFabric::new(2, ClosParams::single_spine(FabricParams::office_lan(), 2))
+                    .unwrap();
             let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
             let plan = MigrationPlan {
                 streams: streams(n),

@@ -411,7 +411,7 @@ mod tests {
     use crate::plan::{FaultService, MigrationPlan, PlanEngine};
     use crate::report::{MigrationKind, MigrationReport, RoundStat};
     use crate::transport::{FabricTransport, LoopbackTransport};
-    use rvisor_net::{Fabric, FabricParams, Link, LinkModel};
+    use rvisor_net::{ClosFabric, ClosParams, FabricParams, Link, LinkModel};
     use rvisor_obs::Trace;
     use rvisor_types::{ByteSize, GuestAddress};
 
@@ -522,7 +522,9 @@ mod tests {
 
         let run_fabric = || {
             let (src, dst) = memories(pages);
-            let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
+            let mut fabric =
+                ClosFabric::new(2, ClosParams::single_spine(FabricParams::office_lan(), 2))
+                    .unwrap();
             let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
             let plan = config.plan(PlanEngine::PreCopy);
             let report = stream(&src, &dst, &mut transport, &mut IdleDirtier, &plan);

@@ -10,16 +10,15 @@
 //! * [`LoopbackTransport`] — same-process delivery timed by a single
 //!   point-to-point [`Link`]; byte-for-byte and nanosecond-for-nanosecond
 //!   equivalent to the direct in-memory engines (pinned by proptest).
-//! * [`FabricTransport`] — delivery across a shared
-//!   [`Fabric`]: per-host NIC serialization, backbone
-//!   contention with every other migration and DR stream, and MTU chunk
-//!   framing, so migration duration and downtime come from modelled
-//!   bytes-on-wire.
+//! * [`FabricTransport`] — delivery across a shared [`ClosFabric`]:
+//!   per-host NIC serialization, leaf/backbone and spine contention with
+//!   every other migration and DR stream, and MTU chunk framing, so
+//!   migration duration and downtime come from modelled bytes-on-wire.
 //!
 //! Burst buffers are recycled ([`Transport::recycle`]) so steady-state
 //! rounds allocate nothing new.
 
-use rvisor_net::{Fabric, FabricModel, Link};
+use rvisor_net::{ClosFabric, Link};
 use rvisor_types::{Nanoseconds, Result};
 
 /// A simulated byte-stream channel between a migration source and sink.
@@ -58,7 +57,7 @@ pub trait Transport {
     /// is `transmit_bytes` of the sum — which is what keeps a multi-stream
     /// loopback migration `==`-report-equal to the serial engine. On a
     /// [`FabricTransport`] each stream pays its own MTU chunk framing
-    /// ([`Fabric::transfer_striped`]).
+    /// ([`ClosFabric::transfer_striped`]).
     fn transmit_striped(&mut self, now: Nanoseconds, stripes: &[u64]) -> Result<Nanoseconds> {
         self.transmit_bytes(now, stripes.iter().sum())
     }
@@ -180,16 +179,15 @@ impl Transport for LoopbackTransport<'_> {
 
 /// Delivery across a shared fabric, between two endpoint indices.
 ///
-/// Generic over [`FabricModel`], defaulting to the single-spine [`Fabric`]:
-/// the same transport carries a migration over a two-tier
-/// `ClosFabric` (or the topology-erasing `AnyFabric`) without any caller
-/// changes. Borrows the fabric mutably: the busy-time marks the migration
+/// The fabric may be any [`ClosFabric`] topology, the single-spine
+/// preset ([`ClosParams::single_spine`](rvisor_net::ClosParams::single_spine))
+/// included. Borrows the fabric mutably: the busy-time marks the migration
 /// leaves on its NICs, leaves and spines are visible to every later
 /// transfer, which is how rebalance storms and DR backup traffic contend
 /// with each other.
 #[derive(Debug)]
-pub struct FabricTransport<'f, F: FabricModel = Fabric> {
-    fabric: &'f mut F,
+pub struct FabricTransport<'f> {
+    fabric: &'f mut ClosFabric,
     from: usize,
     to: usize,
     /// Earliest simulated instant any burst of this stream may start.
@@ -201,17 +199,17 @@ pub struct FabricTransport<'f, F: FabricModel = Fabric> {
     buf: BurstBuffer,
 }
 
-impl<'f, F: FabricModel> FabricTransport<'f, F> {
+impl<'f> FabricTransport<'f> {
     /// Create a transport carrying one migration from endpoint `from` to
     /// endpoint `to` of `fabric`.
-    pub fn new(fabric: &'f mut F, from: usize, to: usize) -> Result<Self> {
+    pub fn new(fabric: &'f mut ClosFabric, from: usize, to: usize) -> Result<Self> {
         Self::starting_at(fabric, from, to, Nanoseconds::ZERO)
     }
 
     /// Like [`FabricTransport::new`], but no burst starts before `floor`
     /// (the caller's current simulated time).
     pub fn starting_at(
-        fabric: &'f mut F,
+        fabric: &'f mut ClosFabric,
         from: usize,
         to: usize,
         floor: Nanoseconds,
@@ -227,7 +225,7 @@ impl<'f, F: FabricModel> FabricTransport<'f, F> {
     }
 }
 
-impl<F: FabricModel> Transport for FabricTransport<'_, F> {
+impl Transport for FabricTransport<'_> {
     fn free_at(&self) -> Nanoseconds {
         self.fabric
             .path_free_at(self.from, self.to)
@@ -287,7 +285,12 @@ impl<F: FabricModel> Transport for FabricTransport<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvisor_net::{FabricParams, LinkModel};
+    use rvisor_net::{ClosParams, FabricParams, LinkModel};
+
+    fn single_spine(endpoints: usize) -> ClosFabric {
+        let params = ClosParams::single_spine(FabricParams::office_lan(), endpoints);
+        ClosFabric::new(endpoints, params).unwrap()
+    }
 
     #[test]
     fn loopback_times_bursts_like_the_bare_link() {
@@ -316,7 +319,7 @@ mod tests {
 
     #[test]
     fn fabric_transport_contends_with_other_traffic() {
-        let mut fabric = Fabric::new(4, FabricParams::office_lan()).unwrap();
+        let mut fabric = single_spine(4);
         // Another tenant's transfer keeps the backbone busy first.
         let other_done = fabric.transfer(2, 3, Nanoseconds::ZERO, 4 << 20).unwrap();
 
@@ -352,7 +355,7 @@ mod tests {
         assert_eq!(t.bytes_sent(), reference.bytes_sent());
 
         // Fabric: the floor applies and striping pays per-stream framing.
-        let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
+        let mut fabric = single_spine(2);
         let floor = Nanoseconds::from_secs(1);
         let mut ft = FabricTransport::starting_at(&mut fabric, 0, 1, floor).unwrap();
         let one = ft.transmit_bytes(Nanoseconds::ZERO, 1_000_000).unwrap();
@@ -366,7 +369,7 @@ mod tests {
 
     #[test]
     fn start_floor_keeps_streams_out_of_the_past() {
-        let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
+        let mut fabric = single_spine(2);
         let floor = Nanoseconds::from_secs(100);
         let mut t = FabricTransport::starting_at(&mut fabric, 0, 1, floor).unwrap();
         // The fabric is idle since t=0, but this stream belongs to a caller

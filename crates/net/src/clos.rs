@@ -1,27 +1,28 @@
-//! A two-tier Clos (leaf/spine) fabric with ECMP-striped transfers.
+//! The datacenter network fabric: a two-tier Clos (leaf/spine) topology
+//! with ECMP-striped transfers.
 //!
-//! [`Fabric`] deliberately models the worst case: one shared
-//! backbone, so disjoint host pairs contend and multi-stream migration never
-//! wins simulated time. [`ClosFabric`] models the topology real datacenters
-//! use instead: hosts live in racks behind leaf switches, leaves connect to
-//! `spines` independent spine switches, and a striped burst hashes its
-//! streams ECMP-style across the live spines so cross-rack streams ride
-//! *independent* paths and genuinely complete earlier in simulated time.
+//! [`ClosFabric`] is the one fabric simulator. Hosts live in racks behind
+//! leaf switches, leaves connect to `spines` independent spine switches,
+//! and a striped burst hashes its streams ECMP-style across the live
+//! spines, so cross-rack streams ride *independent* paths and genuinely
+//! complete earlier in simulated time. The worst case the earlier rounds
+//! modelled separately — every host behind one shared backbone — is the
+//! [`ClosParams::single_spine`] preset: one rack whose leaf plays the
+//! backbone's role.
 //!
 //! # Model parameters and assumptions
 //!
 //! Following *On Heuristic Models, Assumptions, and Parameters*, every
 //! assumption is a named [`ClosParams`] field:
 //!
-//! * **Per-host NIC capacity** (`nic_bytes_per_second`) — as in the
-//!   single-spine model, a host serializes all of its traffic through one
-//!   NIC.
+//! * **Per-host NIC capacity** (`nic_bytes_per_second`) — a host
+//!   serializes all of its traffic through one NIC; two transfers touching
+//!   the same host queue behind each other.
 //! * **Per-rack leaf capacity** (`leaf_uplink_bytes_per_second`) — each rack
 //!   owns one leaf switch whose backplane and uplink share a single busy
 //!   mark: rack-local *and* cross-rack traffic both occupy the rack's leaf.
-//!   This shared-backplane assumption is what makes a 1-rack/1-spine
-//!   configuration *exactly* the old single-spine fabric (the leaf plays the
-//!   backbone's role).
+//!   On a one-rack fabric the leaf is therefore a shared backbone that
+//!   serializes even disjoint host pairs.
 //! * **Independent spine paths** (`spines`, `spine_bytes_per_second`) —
 //!   cross-rack traffic crosses exactly one spine per stream, chosen by a
 //!   deterministic ECMP hash of the endpoint pair and the stream index.
@@ -30,29 +31,31 @@
 //!   as real ECMP is: it never peeks at spine occupancy.
 //! * **Two latency classes** (`rack_latency`, `cross_latency`) — rack-local
 //!   bursts pay the leaf hop, cross-rack bursts pay the full
-//!   leaf-spine-leaf path; each is paid once per burst, as in the
-//!   single-spine model.
-//! * **MTU chunking and store-and-forward occupancy** — identical formulas
-//!   to [`FabricParams`]: per-stream
-//!   `ceil(payload / mtu)` chunks each pay `chunk_overhead` framing bytes,
-//!   and a burst occupies every resource it touches (both NICs, both
-//!   leaves, every chosen spine) until its *last* byte has serialized.
-//!   Whole-burst occupancy is deliberately conservative: a one-stream burst
-//!   and a one-element striped burst leave identical marks.
+//!   leaf-spine-leaf path; each is paid once per burst (a transfer models
+//!   one batched burst, not one packet; intra-burst pipelining hides
+//!   per-packet latency).
+//! * **MTU chunking and store-and-forward occupancy** (`mtu`,
+//!   `chunk_overhead`) — per stream, `ceil(payload / mtu)` chunks each pay
+//!   `chunk_overhead` framing bytes, and a burst occupies every resource it
+//!   touches (both NICs, both leaves, every chosen spine) until its *last*
+//!   byte has serialized. Whole-burst occupancy is deliberately
+//!   conservative: a one-stream burst and a one-element striped burst leave
+//!   identical marks.
 //! * **Spine failure degrades, never partitions** —
 //!   [`ClosFabric::fail_spine`] removes one spine's capacity and the ECMP
 //!   hash re-spreads over the survivors; the last live spine cannot be
 //!   failed, so every endpoint pair always has a path.
 //!
-//! All timing is `u128` integer-nanosecond arithmetic stored as
-//! [`Nanoseconds`]; same-seed simulations replay `==`-identically.
+//! All timing is integer-nanosecond arithmetic stored as [`Nanoseconds`];
+//! no floats are involved, so same-seed simulations replay `==`-identically
+//! on any host.
 
 use serde::{Deserialize, Serialize};
 
 use rvisor_obs::{ArgValue, Trace};
 use rvisor_types::{Error, Nanoseconds, Result};
 
-use crate::fabric::{Fabric, FabricParams, DEFAULT_CHUNK_OVERHEAD};
+use crate::fabric::{FabricParams, DEFAULT_CHUNK_OVERHEAD};
 
 /// Static per-spine wire-byte counter names (obs counter names must be
 /// `&'static str`). Spines beyond index 7 clamp onto the last name; the
@@ -67,127 +70,6 @@ const SPINE_COUNTER_NAMES: [&str; 8] = [
     "fabric.spine6.wire_bytes",
     "fabric.spine7.wire_bytes",
 ];
-
-/// The abstract contract every fabric topology provides: deterministic
-/// integer-nanosecond transfers between dense endpoints, rack/spine
-/// topology queries, and spine degradation.
-///
-/// [`Fabric`] implements it as the 1-rack/1-spine degenerate case (its
-/// backbone is "spine 0"); [`ClosFabric`] is the general two-tier case.
-/// Transport plumbing ([`FabricTransport`](../../rvisor_migrate) and the
-/// orchestrator's cluster) is generic over this trait, so the single-spine
-/// equivalence proptests from earlier PRs keep running unchanged.
-pub trait FabricModel {
-    /// Number of endpoints.
-    fn endpoints(&self) -> usize;
-    /// Number of racks (1 for the single-spine fabric).
-    fn racks(&self) -> usize;
-    /// The rack an endpoint lives in (0 for the single-spine fabric).
-    fn rack_of(&self, endpoint: usize) -> usize;
-    /// Number of spines the fabric was built with (live or failed).
-    fn spines(&self) -> usize;
-    /// Number of spines still carrying traffic.
-    fn live_spines(&self) -> usize;
-    /// Busy-until mark of spine `spine`, or `None` if it is failed or out
-    /// of range.
-    fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds>;
-    /// Earliest instant the fabric's least-loaded live core path is free:
-    /// the single-spine backbone mark, or a Clos fabric's least-busy live
-    /// spine. This is the coarse occupancy signal the adaptive migration
-    /// planner consumes — `free_at().saturating_sub(now)` is the core
-    /// backlog a new migration would queue behind.
-    fn free_at(&self) -> Nanoseconds;
-    /// Remove spine `spine` from service. Fails if the spine is out of
-    /// range, already failed, or the last live spine (the fabric degrades,
-    /// it never partitions).
-    fn fail_spine(&mut self, spine: usize) -> Result<()>;
-    /// One-way propagation latency between two endpoints.
-    fn latency(&self, from: usize, to: usize) -> Nanoseconds;
-    /// Time for `payload` bytes to cross an idle path `from -> to`.
-    fn transfer_time(&self, from: usize, to: usize, payload: u64) -> Nanoseconds;
-    /// Earliest instant a single-stream transfer between `from` and `to`
-    /// could start.
-    fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds>;
-    /// Move `payload` bytes `from -> to` starting no earlier than `now`;
-    /// returns the simulated arrival time.
-    fn transfer(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        payload: u64,
-    ) -> Result<Nanoseconds>;
-    /// Move a striped burst of parallel streams `from -> to`; `stripes[i]`
-    /// is stream `i`'s payload bytes. Returns the whole burst's arrival.
-    fn transfer_striped(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-    ) -> Result<Nanoseconds>;
-    /// Attach a trace for transfer spans and occupancy counters.
-    fn set_trace(&mut self, trace: Trace);
-}
-
-impl FabricModel for Fabric {
-    fn endpoints(&self) -> usize {
-        Fabric::endpoints(self)
-    }
-    fn racks(&self) -> usize {
-        1
-    }
-    fn rack_of(&self, _endpoint: usize) -> usize {
-        0
-    }
-    fn spines(&self) -> usize {
-        1
-    }
-    fn live_spines(&self) -> usize {
-        1
-    }
-    fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
-        (spine == 0).then(|| self.backbone_free_at())
-    }
-    fn free_at(&self) -> Nanoseconds {
-        self.backbone_free_at()
-    }
-    fn fail_spine(&mut self, _spine: usize) -> Result<()> {
-        Err(Error::Net(
-            "cannot fail the last live spine: the single-spine fabric would partition".into(),
-        ))
-    }
-    fn latency(&self, _from: usize, _to: usize) -> Nanoseconds {
-        self.params().latency
-    }
-    fn transfer_time(&self, _from: usize, _to: usize, payload: u64) -> Nanoseconds {
-        self.params().transfer_time(payload)
-    }
-    fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds> {
-        Fabric::path_free_at(self, from, to)
-    }
-    fn transfer(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        payload: u64,
-    ) -> Result<Nanoseconds> {
-        Fabric::transfer(self, from, to, now, payload)
-    }
-    fn transfer_striped(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-    ) -> Result<Nanoseconds> {
-        Fabric::transfer_striped(self, from, to, now, stripes)
-    }
-    fn set_trace(&mut self, trace: Trace) {
-        Fabric::set_trace(self, trace)
-    }
-}
 
 /// Named, validated parameters of a [`ClosFabric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -271,11 +153,33 @@ impl ClosParams {
         }
     }
 
-    /// The degenerate 1-rack/1-spine configuration that reproduces a
-    /// single-spine [`Fabric`] of `fp` *exactly*: the leaf takes the
-    /// backbone's capacity and every transfer is rack-local at the
-    /// backbone's latency. Pinned `==`-equal by proptest.
-    pub fn degenerate(fp: FabricParams, endpoints: usize) -> Self {
+    /// The single-spine worst case for `endpoints` hosts on the network
+    /// `fp`: one rack holds every endpoint, and its leaf takes the
+    /// backbone's capacity, so every transfer is rack-local at the
+    /// backbone's latency and the spine tier is never touched. The
+    /// assumptions, each a named [`FabricParams`] field:
+    ///
+    /// * **Per-host NIC capacity** (`nic_bytes_per_second`) — two
+    ///   transfers touching the same host queue behind each other.
+    /// * **Shared backbone** (`backbone_bytes_per_second`) — all hosts
+    ///   share one aggregate uplink, so transfers between *disjoint* host
+    ///   pairs still contend. This is the conservative upper bound on
+    ///   contention; multi-rack presets let disjoint rack pairs ride
+    ///   independent spine paths instead.
+    /// * **MTU chunking** (`mtu`, `chunk_overhead`) — small MTUs visibly
+    ///   tax big memory streams.
+    /// * **Propagation latency** (`latency`) — paid once per burst.
+    /// * **Fair-share striping** — the streams of a striped burst share
+    ///   the NICs and the backbone, and each pays its own chunk framing, so
+    ///   on this preset parallel streams are never *faster* in simulated
+    ///   time. That is a property of the topology, not of striping: a
+    ///   cross-rack burst on a multi-spine preset genuinely wins. What
+    ///   parallel streams buy here is host-CPU overlap (encode and apply
+    ///   proceed concurrently), which is wall-clock, not simulated time.
+    ///
+    /// The transfer timeline of this preset is pinned by a golden fixture
+    /// recorded from the earlier standalone single-spine simulator.
+    pub fn single_spine(fp: FabricParams, endpoints: usize) -> Self {
         ClosParams {
             racks: 1,
             hosts_per_rack: endpoints,
@@ -325,8 +229,8 @@ impl ClosParams {
         Ok(())
     }
 
-    /// Bytes that actually cross the wire for a `payload`-byte stream: same
-    /// formula as [`FabricParams::wire_bytes`].
+    /// Bytes that actually cross the wire for a `payload`-byte stream:
+    /// payload plus per-chunk framing for `ceil(payload / mtu)` chunks.
     pub fn wire_bytes(&self, payload: u64) -> u64 {
         let chunks = payload.div_ceil(self.mtu.max(1));
         payload.saturating_add(chunks.saturating_mul(self.chunk_overhead))
@@ -366,10 +270,28 @@ impl ClosParams {
 }
 
 /// Integer-nanosecond serialization time of `wire` bytes at `rate`
-/// bytes/second — the same `u128` formula as
-/// [`FabricParams::serialization_time_wire`].
+/// bytes/second, `floor(wire * 1e9 / rate)`. Exact on both branches: the
+/// 64-bit one covers every burst under ~18 GB and skips the slower 128-bit
+/// division.
 fn serialization(wire: u64, rate: u64) -> Nanoseconds {
-    Nanoseconds(((wire as u128 * 1_000_000_000) / rate.max(1) as u128) as u64)
+    let rate = rate.max(1);
+    match wire.checked_mul(1_000_000_000) {
+        Some(scaled) => Nanoseconds(scaled / rate),
+        None => Nanoseconds(((wire as u128 * 1_000_000_000) / rate as u128) as u64),
+    }
+}
+
+/// The error for an endpoint pair no transfer can use: a self-transfer or
+/// an endpoint out of range. Kept out of line so the hot paths stay small.
+#[cold]
+#[inline(never)]
+fn bad_pair(from: usize, to: usize, endpoints: usize) -> Error {
+    if from == to {
+        return Error::Net(format!("fabric transfer from endpoint {from} to itself"));
+    }
+    Error::Net(format!(
+        "fabric endpoint out of range: {from} -> {to} with {endpoints} endpoints"
+    ))
 }
 
 /// SplitMix64 finalizer over the endpoint pair: the deterministic seed of
@@ -383,9 +305,21 @@ fn pair_hash(from: usize, to: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One endpoint's NIC: a busy-until mark plus traffic counters.
+/// The sums over one burst's streams.
+#[derive(Debug, Clone, Copy)]
+struct BurstTotals {
+    /// Payload bytes.
+    payload: u64,
+    /// On-wire bytes: payload plus each stream's own chunk framing.
+    wire: u64,
+    /// Streams with a non-empty payload.
+    streams: u64,
+}
+
+/// One endpoint: its rack, its NIC's busy-until mark and traffic counters.
 #[derive(Debug, Clone, Copy, Default)]
-struct Mark {
+struct Endpoint {
+    rack: usize,
     free_at: Nanoseconds,
     bytes_sent: u64,
     bytes_received: u64,
@@ -393,6 +327,8 @@ struct Mark {
 
 /// A two-tier leaf/spine fabric connecting dense endpoints `0..n`.
 ///
+/// Endpoints are dense indices (the orchestrator maps host positions onto
+/// them; by convention the DR target rides along as one extra endpoint).
 /// Rack-local transfers cross the source NIC, the rack's leaf and the
 /// destination NIC; cross-rack transfers additionally cross one ECMP-chosen
 /// spine per stream. All state is integer nanoseconds: a run's transfer
@@ -400,8 +336,10 @@ struct Mark {
 #[derive(Debug, Clone)]
 pub struct ClosFabric {
     params: ClosParams,
-    nics: Vec<Mark>,
-    rack_of: Vec<usize>,
+    /// [`ClosParams::local_bytes_per_second`], resolved once: every burst
+    /// serializes over the NIC/leaf path.
+    local_rate: u64,
+    nics: Vec<Endpoint>,
     leaf_free_at: Vec<Nanoseconds>,
     spine_free_at: Vec<Nanoseconds>,
     spine_live: Vec<bool>,
@@ -446,8 +384,14 @@ impl ClosFabric {
         }
         Ok(ClosFabric {
             params,
-            nics: vec![Mark::default(); racks_of.len()],
-            rack_of: racks_of,
+            local_rate: params.local_bytes_per_second(),
+            nics: racks_of
+                .into_iter()
+                .map(|rack| Endpoint {
+                    rack,
+                    ..Endpoint::default()
+                })
+                .collect(),
             leaf_free_at: vec![Nanoseconds::ZERO; params.racks],
             spine_free_at: vec![Nanoseconds::ZERO; params.spines],
             spine_live: vec![true; params.spines],
@@ -477,7 +421,7 @@ impl ClosFabric {
 
     /// The rack endpoint `e` lives in (panics if out of range).
     pub fn rack_of(&self, e: usize) -> usize {
-        self.rack_of[e]
+        self.nics[e].rack
     }
 
     /// Number of spines the fabric was built with (live or failed).
@@ -495,9 +439,17 @@ impl ClosFabric {
         (self.spine_live.get(spine) == Some(&true)).then(|| self.spine_free_at[spine])
     }
 
-    /// The earliest busy-until mark over all live spines — the
-    /// orchestrator's "is any spine cool" occupancy query.
-    pub fn min_live_spine_free_at(&self) -> Nanoseconds {
+    /// Earliest instant the fabric's least-loaded core path is free: the
+    /// least-busy live spine, or — on a one-rack fabric, where no transfer
+    /// ever crosses a spine — the rack's leaf, which plays the backbone's
+    /// role. This is the coarse occupancy signal the orchestrator consumes:
+    /// `free_at().saturating_sub(now)` is the core backlog a new migration
+    /// would queue behind (the adaptive planner's input and the hot-spine
+    /// deferral test).
+    pub fn free_at(&self) -> Nanoseconds {
+        if self.params.racks == 1 {
+            return self.leaf_free_at[0];
+        }
         self.spine_free_at
             .iter()
             .zip(&self.spine_live)
@@ -543,7 +495,7 @@ impl ClosFabric {
     }
 
     /// Number of transfers performed (a striped burst counts each active
-    /// stream, exactly as [`Fabric::transfers`] does).
+    /// stream, and an empty burst counts once).
     pub fn transfers(&self) -> u64 {
         self.transfers
     }
@@ -558,7 +510,10 @@ impl ClosFabric {
         self.nics.get(i).map_or(0, |n| n.bytes_received)
     }
 
-    /// Attach a trace: transfers emit spans on the `fabric` track plus
+    /// Attach a trace: every transfer emits a span on the `fabric` track
+    /// splitting queueing delay from serialization time, plus occupancy
+    /// counter samples. On a multi-rack fabric the span also says whether
+    /// the burst crossed the spine tier, and cross-rack bursts add
     /// per-spine wire-byte counters and a `fabric.stripe_speedup`
     /// histogram (percent; 200 = the striped burst finished twice as fast
     /// as one aggregate cross-rack stream would have).
@@ -566,24 +521,12 @@ impl ClosFabric {
         self.trace = trace;
     }
 
-    /// The attached trace (off by default).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    fn check_pair(&self, from: usize, to: usize) -> Result<()> {
-        if from == to {
-            return Err(Error::Net(format!(
-                "fabric transfer from endpoint {from} to itself"
-            )));
+    /// The racks of a valid endpoint pair.
+    fn racks_of_pair(&self, from: usize, to: usize) -> Result<(usize, usize)> {
+        match (self.nics.get(from), self.nics.get(to)) {
+            (Some(a), Some(b)) if from != to => Ok((a.rack, b.rack)),
+            _ => Err(bad_pair(from, to, self.nics.len())),
         }
-        if from >= self.nics.len() || to >= self.nics.len() {
-            return Err(Error::Net(format!(
-                "fabric endpoint out of range: {from} -> {to} with {} endpoints",
-                self.nics.len()
-            )));
-        }
-        Ok(())
     }
 
     /// The `slot`-th live spine (slot counted over live spines only).
@@ -609,9 +552,15 @@ impl ClosFabric {
         self.nth_live(slot)
     }
 
+    /// Whether two endpoints share a rack (out-of-range endpoints share
+    /// one only with each other).
+    fn same_rack(&self, from: usize, to: usize) -> bool {
+        self.nics.get(from).map(|e| e.rack) == self.nics.get(to).map(|e| e.rack)
+    }
+
     /// One-way propagation latency between two endpoints.
     pub fn latency(&self, from: usize, to: usize) -> Nanoseconds {
-        if self.rack_of.get(from) == self.rack_of.get(to) {
+        if self.same_rack(from, to) {
             self.params.rack_latency
         } else {
             self.params.cross_latency
@@ -621,7 +570,7 @@ impl ClosFabric {
     /// Time for `payload` bytes to cross an idle path `from -> to` as one
     /// stream.
     pub fn transfer_time(&self, from: usize, to: usize, payload: u64) -> Nanoseconds {
-        if self.rack_of.get(from) == self.rack_of.get(to) {
+        if self.same_rack(from, to) {
             self.params.local_transfer_time(payload)
         } else {
             self.params.cross_transfer_time(payload)
@@ -633,8 +582,7 @@ impl ClosFabric {
     /// ECMP spine must be free. A multi-stream burst may start later if its
     /// other spines are busier — this is still a valid floor.
     pub fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds> {
-        self.check_pair(from, to)?;
-        let (rf, rt) = (self.rack_of[from], self.rack_of[to]);
+        let (rf, rt) = self.racks_of_pair(from, to)?;
         let mut free = self.nics[from]
             .free_at
             .max(self.nics[to].free_at)
@@ -657,17 +605,23 @@ impl ClosFabric {
         now: Nanoseconds,
         payload: u64,
     ) -> Result<Nanoseconds> {
-        self.burst(from, to, now, &[payload], "transfer")
+        let totals = BurstTotals {
+            payload,
+            wire: self.params.wire_bytes(payload),
+            streams: u64::from(payload > 0),
+        };
+        self.burst(from, to, now, &[payload], totals, "transfer")
     }
 
     /// Move a striped burst of parallel streams from `from` to `to`,
     /// starting no earlier than `now`; `stripes[i]` is stream `i`'s payload
     /// bytes. Returns the arrival time of the *whole* burst.
     ///
-    /// Rack-local bursts share the NIC/leaf path exactly as the
-    /// single-spine model shares its backbone — striping is never faster
-    /// inside a rack. Cross-rack, each stream crosses the spine chosen by
-    /// the deterministic ECMP hash; streams on different spines serialize
+    /// Rack-local bursts fairly share the NIC/leaf path, and each stream
+    /// pays its own chunk framing, so striping is never faster inside a
+    /// rack (or anywhere on the [`ClosParams::single_spine`] preset).
+    /// Cross-rack, each stream crosses the spine chosen by the
+    /// deterministic ECMP hash; streams on different spines serialize
     /// concurrently, so a burst whose streams spread over `k` spines can
     /// finish up to `k` times sooner than one aggregate stream on an
     /// oversubscribed spine tier — the simulated-time payoff of
@@ -679,106 +633,61 @@ impl ClosFabric {
         now: Nanoseconds,
         stripes: &[u64],
     ) -> Result<Nanoseconds> {
-        self.burst(from, to, now, stripes, "transfer-striped")
+        let mut totals = BurstTotals {
+            payload: 0,
+            wire: 0,
+            streams: 0,
+        };
+        for &payload in stripes {
+            totals.payload = totals.payload.saturating_add(payload);
+            totals.wire = totals.wire.saturating_add(self.params.wire_bytes(payload));
+            totals.streams += u64::from(payload > 0);
+        }
+        self.burst(from, to, now, stripes, totals, "transfer-striped")
     }
 
+    /// The shared half of [`Self::transfer`] and
+    /// [`Self::transfer_striped`]: occupy the path for `stripes`, whose
+    /// sums the caller has already taken.
     fn burst(
         &mut self,
         from: usize,
         to: usize,
         now: Nanoseconds,
         stripes: &[u64],
+        totals: BurstTotals,
         span_name: &'static str,
     ) -> Result<Nanoseconds> {
-        self.check_pair(from, to)?;
-        let (rf, rt) = (self.rack_of[from], self.rack_of[to]);
-        let mut payload_total = 0u64;
-        let mut wire_total = 0u64;
-        let mut active_streams = 0u64;
-        for &payload in stripes {
-            payload_total = payload_total.saturating_add(payload);
-            wire_total = wire_total.saturating_add(self.params.wire_bytes(payload));
-            if payload > 0 {
-                active_streams += 1;
-            }
-        }
+        let endpoints = self.nics.len();
+        let Ok([src, dst]) = self.nics.get_disjoint_mut([from, to]) else {
+            return Err(bad_pair(from, to, endpoints));
+        };
+        let BurstTotals {
+            payload: payload_total,
+            wire: wire_total,
+            streams: active_streams,
+        } = totals;
+        src.bytes_sent += payload_total;
+        dst.bytes_received += payload_total;
+        let (rf, rt) = (src.rack, dst.rack);
 
         let (start, busy_until, arrival) = if rf == rt {
             // Rack-local: NICs + the shared leaf, single fair-shared window.
-            let start = now
-                .max(self.nics[from].free_at)
-                .max(self.nics[to].free_at)
-                .max(self.leaf_free_at[rf]);
-            let busy_until = start.saturating_add(serialization(
-                wire_total,
-                self.params.local_bytes_per_second(),
-            ));
-            self.nics[from].free_at = busy_until;
-            self.nics[to].free_at = busy_until;
-            self.leaf_free_at[rf] = busy_until;
+            let leaf = &mut self.leaf_free_at[rf];
+            let start = now.max(src.free_at).max(dst.free_at).max(*leaf);
+            let busy_until = start.saturating_add(serialization(wire_total, self.local_rate));
+            src.free_at = busy_until;
+            dst.free_at = busy_until;
+            *leaf = busy_until;
             (
                 start,
                 busy_until,
                 busy_until.saturating_add(self.params.rack_latency),
             )
         } else {
-            // Cross-rack: group each stream's wire bytes onto its ECMP spine.
-            self.scratch_wire.iter_mut().for_each(|w| *w = 0);
-            for (i, &payload) in stripes.iter().enumerate() {
-                if payload > 0 {
-                    let g = self.spine_for(from, to, i);
-                    self.scratch_wire[g] =
-                        self.scratch_wire[g].saturating_add(self.params.wire_bytes(payload));
-                }
-            }
-            // Empty bursts still pin a spine so the start instant (and the
-            // busy marks they refresh) match the single-stream path.
-            if active_streams == 0 {
-                let g = self.spine_for(from, to, 0);
-                self.scratch_wire[g] = 0;
-            }
-            let mut start = now
-                .max(self.nics[from].free_at)
-                .max(self.nics[to].free_at)
-                .max(self.leaf_free_at[rf])
-                .max(self.leaf_free_at[rt]);
-            let touched_zero = active_streams == 0;
-            for (g, &w) in self.scratch_wire.iter().enumerate() {
-                if w > 0 || (touched_zero && g == self.spine_for(from, to, 0)) {
-                    start = start.max(self.spine_free_at[g]);
-                }
-            }
-            // Shared-path window (NICs and leaves serialize every byte) vs
-            // the slowest spine's window; the burst ends at the later one.
-            let shared = serialization(wire_total, self.params.local_bytes_per_second());
-            let mut slowest_spine = Nanoseconds::ZERO;
-            for &w in &self.scratch_wire {
-                if w > 0 {
-                    slowest_spine =
-                        slowest_spine.max(serialization(w, self.params.spine_bytes_per_second));
-                }
-            }
-            let busy_until = start.saturating_add(shared.max(slowest_spine));
-            self.nics[from].free_at = busy_until;
-            self.nics[to].free_at = busy_until;
-            self.leaf_free_at[rf] = busy_until;
-            self.leaf_free_at[rt] = busy_until;
-            for g in 0..self.scratch_wire.len() {
-                let w = self.scratch_wire[g];
-                if w > 0 || (touched_zero && g == self.spine_for(from, to, 0)) {
-                    self.spine_free_at[g] = busy_until;
-                }
-                self.spine_wire_bytes[g] = self.spine_wire_bytes[g].saturating_add(w);
-            }
-            (
-                start,
-                busy_until,
-                busy_until.saturating_add(self.params.cross_latency),
-            )
+            self.cross_rack_window(from, to, now, stripes, wire_total, active_streams)
         };
 
-        self.nics[from].bytes_sent += payload_total;
-        self.nics[to].bytes_received += payload_total;
         self.bytes_carried = self.bytes_carried.saturating_add(payload_total);
         self.wire_bytes_carried = self.wire_bytes_carried.saturating_add(wire_total);
         self.transfers += active_streams.max(1);
@@ -801,7 +710,73 @@ impl ClosFabric {
         Ok(arrival)
     }
 
+    /// The cross-rack half of [`Self::burst`]: group each stream's wire
+    /// bytes onto its ECMP spine, occupy both NICs, both leaves and every
+    /// chosen spine, and return `(start, busy_until, arrival)`.
+    #[inline(never)]
+    fn cross_rack_window(
+        &mut self,
+        from: usize,
+        to: usize,
+        now: Nanoseconds,
+        stripes: &[u64],
+        wire_total: u64,
+        active_streams: u64,
+    ) -> (Nanoseconds, Nanoseconds, Nanoseconds) {
+        let (rf, rt) = (self.nics[from].rack, self.nics[to].rack);
+        self.scratch_wire.iter_mut().for_each(|w| *w = 0);
+        for (i, &payload) in stripes.iter().enumerate() {
+            if payload > 0 {
+                let g = self.spine_for(from, to, i);
+                self.scratch_wire[g] =
+                    self.scratch_wire[g].saturating_add(self.params.wire_bytes(payload));
+            }
+        }
+        // Empty bursts still pin a spine so the start instant (and the
+        // busy marks they refresh) match the single-stream path.
+        let zero_spine = (active_streams == 0).then(|| self.spine_for(from, to, 0));
+        let mut start = now
+            .max(self.nics[from].free_at)
+            .max(self.nics[to].free_at)
+            .max(self.leaf_free_at[rf])
+            .max(self.leaf_free_at[rt]);
+        for (g, &w) in self.scratch_wire.iter().enumerate() {
+            if w > 0 || zero_spine == Some(g) {
+                start = start.max(self.spine_free_at[g]);
+            }
+        }
+        // Shared-path window (NICs and leaves serialize every byte) vs
+        // the slowest spine's window; the burst ends at the later one.
+        let shared = serialization(wire_total, self.local_rate);
+        let mut slowest_spine = Nanoseconds::ZERO;
+        for &w in &self.scratch_wire {
+            if w > 0 {
+                slowest_spine =
+                    slowest_spine.max(serialization(w, self.params.spine_bytes_per_second));
+            }
+        }
+        let busy_until = start.saturating_add(shared.max(slowest_spine));
+        self.nics[from].free_at = busy_until;
+        self.nics[to].free_at = busy_until;
+        self.leaf_free_at[rf] = busy_until;
+        self.leaf_free_at[rt] = busy_until;
+        for g in 0..self.scratch_wire.len() {
+            let w = self.scratch_wire[g];
+            if w > 0 || zero_spine == Some(g) {
+                self.spine_free_at[g] = busy_until;
+            }
+            self.spine_wire_bytes[g] = self.spine_wire_bytes[g].saturating_add(w);
+        }
+        (
+            start,
+            busy_until,
+            busy_until.saturating_add(self.params.cross_latency),
+        )
+    }
+
     #[allow(clippy::too_many_arguments)]
+    #[cold]
+    #[inline(never)]
     fn emit_burst_trace(
         &self,
         name: &'static str,
@@ -818,25 +793,28 @@ impl ClosFabric {
     ) {
         let queue_wait = start.saturating_sub(now);
         let serialization_ns = busy_until.saturating_sub(start);
-        self.trace.span(
-            "fabric",
-            name,
-            now,
-            arrival,
-            &[
-                ("from", ArgValue::U64(from as u64)),
-                ("to", ArgValue::U64(to as u64)),
-                ("payload", ArgValue::U64(payload)),
-                ("wire", ArgValue::U64(wire)),
-                ("streams", ArgValue::U64(streams)),
-                ("cross_rack", ArgValue::U64(cross_rack as u64)),
-                ("queue_wait_ns", ArgValue::U64(queue_wait.as_nanos())),
-                (
-                    "serialization_ns",
-                    ArgValue::U64(serialization_ns.as_nanos()),
-                ),
-            ],
-        );
+        let args = [
+            ("from", ArgValue::U64(from as u64)),
+            ("to", ArgValue::U64(to as u64)),
+            ("payload", ArgValue::U64(payload)),
+            ("wire", ArgValue::U64(wire)),
+            ("streams", ArgValue::U64(streams)),
+            ("cross_rack", ArgValue::U64(cross_rack as u64)),
+            ("queue_wait_ns", ArgValue::U64(queue_wait.as_nanos())),
+            (
+                "serialization_ns",
+                ArgValue::U64(serialization_ns.as_nanos()),
+            ),
+        ];
+        if self.params.racks == 1 {
+            // Nothing on a one-rack fabric ever crosses racks: the span
+            // carries no `cross_rack` arg at all.
+            let [a, b, c, d, e, _, g, h] = args;
+            self.trace
+                .span("fabric", name, now, arrival, &[a, b, c, d, e, g, h]);
+        } else {
+            self.trace.span("fabric", name, now, arrival, &args);
+        }
         self.trace
             .observe("fabric.queue_wait_ns", queue_wait.as_nanos());
         self.trace
@@ -876,7 +854,10 @@ impl ClosFabric {
     /// life (between benchmark runs).
     pub fn reset(&mut self) {
         for nic in &mut self.nics {
-            *nic = Mark::default();
+            *nic = Endpoint {
+                rack: nic.rack,
+                ..Endpoint::default()
+            };
         }
         self.leaf_free_at
             .iter_mut()
@@ -889,261 +870,6 @@ impl ClosFabric {
         self.bytes_carried = 0;
         self.wire_bytes_carried = 0;
         self.transfers = 0;
-    }
-}
-
-impl FabricModel for ClosFabric {
-    fn endpoints(&self) -> usize {
-        ClosFabric::endpoints(self)
-    }
-    fn racks(&self) -> usize {
-        ClosFabric::racks(self)
-    }
-    fn rack_of(&self, endpoint: usize) -> usize {
-        ClosFabric::rack_of(self, endpoint)
-    }
-    fn spines(&self) -> usize {
-        ClosFabric::spines(self)
-    }
-    fn live_spines(&self) -> usize {
-        ClosFabric::live_spines(self)
-    }
-    fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
-        ClosFabric::spine_free_at(self, spine)
-    }
-    fn free_at(&self) -> Nanoseconds {
-        ClosFabric::min_live_spine_free_at(self)
-    }
-    fn fail_spine(&mut self, spine: usize) -> Result<()> {
-        ClosFabric::fail_spine(self, spine)
-    }
-    fn latency(&self, from: usize, to: usize) -> Nanoseconds {
-        ClosFabric::latency(self, from, to)
-    }
-    fn transfer_time(&self, from: usize, to: usize, payload: u64) -> Nanoseconds {
-        ClosFabric::transfer_time(self, from, to, payload)
-    }
-    fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds> {
-        ClosFabric::path_free_at(self, from, to)
-    }
-    fn transfer(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        payload: u64,
-    ) -> Result<Nanoseconds> {
-        ClosFabric::transfer(self, from, to, now, payload)
-    }
-    fn transfer_striped(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-    ) -> Result<Nanoseconds> {
-        ClosFabric::transfer_striped(self, from, to, now, stripes)
-    }
-    fn set_trace(&mut self, trace: Trace) {
-        ClosFabric::set_trace(self, trace)
-    }
-}
-
-/// A fabric of either topology behind one concrete type, so the
-/// orchestrator's `Cluster` can hold a single-spine or Clos fabric without
-/// generics leaking into its public API.
-#[derive(Debug, Clone)]
-pub enum AnyFabric {
-    /// The single-spine worst-case fabric.
-    Single(Fabric),
-    /// The two-tier leaf/spine fabric.
-    Clos(ClosFabric),
-}
-
-macro_rules! any_delegate {
-    ($self:ident, $f:ident => $e:expr, $c:ident => $e2:expr) => {
-        match $self {
-            AnyFabric::Single($f) => $e,
-            AnyFabric::Clos($c) => $e2,
-        }
-    };
-}
-
-impl AnyFabric {
-    /// Number of endpoints.
-    pub fn endpoints(&self) -> usize {
-        any_delegate!(self, f => f.endpoints(), c => c.endpoints())
-    }
-
-    /// Number of racks (1 for the single-spine fabric).
-    pub fn racks(&self) -> usize {
-        any_delegate!(self, _f => 1, c => c.racks())
-    }
-
-    /// The rack an endpoint lives in (0 for the single-spine fabric).
-    pub fn rack_of(&self, endpoint: usize) -> usize {
-        any_delegate!(self, _f => { let _ = endpoint; 0 }, c => c.rack_of(endpoint))
-    }
-
-    /// Number of spines the fabric was built with.
-    pub fn spines(&self) -> usize {
-        any_delegate!(self, _f => 1, c => c.spines())
-    }
-
-    /// Number of spines still carrying traffic.
-    pub fn live_spines(&self) -> usize {
-        any_delegate!(self, _f => 1, c => c.live_spines())
-    }
-
-    /// Busy-until mark of spine `spine`, or `None` if failed/out of range.
-    pub fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
-        any_delegate!(self, f => (spine == 0).then(|| f.backbone_free_at()),
-                      c => c.spine_free_at(spine))
-    }
-
-    /// The earliest busy-until mark over all live spines.
-    pub fn min_live_spine_free_at(&self) -> Nanoseconds {
-        any_delegate!(self, f => f.backbone_free_at(), c => c.min_live_spine_free_at())
-    }
-
-    /// Earliest instant the least-loaded live core path is free; see
-    /// [`FabricModel::free_at`].
-    pub fn free_at(&self) -> Nanoseconds {
-        self.min_live_spine_free_at()
-    }
-
-    /// Remove a spine from service; see [`ClosFabric::fail_spine`]. The
-    /// single-spine fabric always refuses (it would partition).
-    pub fn fail_spine(&mut self, spine: usize) -> Result<()> {
-        any_delegate!(self, f => FabricModel::fail_spine(f, spine), c => c.fail_spine(spine))
-    }
-
-    /// One-way propagation latency between two endpoints.
-    pub fn latency(&self, from: usize, to: usize) -> Nanoseconds {
-        any_delegate!(self, f => { let _ = (from, to); f.params().latency },
-                      c => c.latency(from, to))
-    }
-
-    /// Time for `payload` bytes to cross an idle path `from -> to`.
-    pub fn transfer_time(&self, from: usize, to: usize, payload: u64) -> Nanoseconds {
-        any_delegate!(self, f => { let _ = (from, to); f.params().transfer_time(payload) },
-                      c => c.transfer_time(from, to, payload))
-    }
-
-    /// Earliest instant a transfer between `from` and `to` could start.
-    pub fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds> {
-        any_delegate!(self, f => f.path_free_at(from, to), c => c.path_free_at(from, to))
-    }
-
-    /// Move `payload` bytes `from -> to`; returns the arrival time.
-    pub fn transfer(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        payload: u64,
-    ) -> Result<Nanoseconds> {
-        any_delegate!(self, f => f.transfer(from, to, now, payload),
-                      c => c.transfer(from, to, now, payload))
-    }
-
-    /// Move a striped burst `from -> to`; returns the whole burst's arrival.
-    pub fn transfer_striped(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-    ) -> Result<Nanoseconds> {
-        any_delegate!(self, f => f.transfer_striped(from, to, now, stripes),
-                      c => c.transfer_striped(from, to, now, stripes))
-    }
-
-    /// Total payload bytes carried.
-    pub fn bytes_carried(&self) -> u64 {
-        any_delegate!(self, f => f.bytes_carried(), c => c.bytes_carried())
-    }
-
-    /// Total on-wire bytes carried.
-    pub fn wire_bytes_carried(&self) -> u64 {
-        any_delegate!(self, f => f.wire_bytes_carried(), c => c.wire_bytes_carried())
-    }
-
-    /// Number of transfers performed.
-    pub fn transfers(&self) -> u64 {
-        any_delegate!(self, f => f.transfers(), c => c.transfers())
-    }
-
-    /// Payload bytes sent by endpoint `i`.
-    pub fn bytes_sent_by(&self, i: usize) -> u64 {
-        any_delegate!(self, f => f.bytes_sent_by(i), c => c.bytes_sent_by(i))
-    }
-
-    /// Payload bytes received by endpoint `i`.
-    pub fn bytes_received_by(&self, i: usize) -> u64 {
-        any_delegate!(self, f => f.bytes_received_by(i), c => c.bytes_received_by(i))
-    }
-
-    /// Attach a trace.
-    pub fn set_trace(&mut self, trace: Trace) {
-        any_delegate!(self, f => f.set_trace(trace), c => c.set_trace(trace))
-    }
-}
-
-impl FabricModel for AnyFabric {
-    fn endpoints(&self) -> usize {
-        AnyFabric::endpoints(self)
-    }
-    fn racks(&self) -> usize {
-        AnyFabric::racks(self)
-    }
-    fn rack_of(&self, endpoint: usize) -> usize {
-        AnyFabric::rack_of(self, endpoint)
-    }
-    fn spines(&self) -> usize {
-        AnyFabric::spines(self)
-    }
-    fn live_spines(&self) -> usize {
-        AnyFabric::live_spines(self)
-    }
-    fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
-        AnyFabric::spine_free_at(self, spine)
-    }
-    fn free_at(&self) -> Nanoseconds {
-        AnyFabric::free_at(self)
-    }
-    fn fail_spine(&mut self, spine: usize) -> Result<()> {
-        AnyFabric::fail_spine(self, spine)
-    }
-    fn latency(&self, from: usize, to: usize) -> Nanoseconds {
-        AnyFabric::latency(self, from, to)
-    }
-    fn transfer_time(&self, from: usize, to: usize, payload: u64) -> Nanoseconds {
-        AnyFabric::transfer_time(self, from, to, payload)
-    }
-    fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds> {
-        AnyFabric::path_free_at(self, from, to)
-    }
-    fn transfer(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        payload: u64,
-    ) -> Result<Nanoseconds> {
-        AnyFabric::transfer(self, from, to, now, payload)
-    }
-    fn transfer_striped(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-    ) -> Result<Nanoseconds> {
-        AnyFabric::transfer_striped(self, from, to, now, stripes)
-    }
-    fn set_trace(&mut self, trace: Trace) {
-        AnyFabric::set_trace(self, trace)
     }
 }
 
@@ -1312,94 +1038,186 @@ mod tests {
     }
 
     #[test]
-    fn single_spine_fabric_implements_the_model() {
-        let mut f = Fabric::new(4, FabricParams::datacenter()).unwrap();
-        let m: &mut dyn FabricModel = &mut f;
-        assert_eq!(m.racks(), 1);
-        assert_eq!(m.spines(), 1);
-        assert_eq!(m.live_spines(), 1);
-        assert_eq!(m.rack_of(3), 0);
-        assert_eq!(m.spine_free_at(0), Some(Nanoseconds::ZERO));
-        assert_eq!(m.spine_free_at(1), None);
-        assert!(m.fail_spine(0).is_err());
-        assert_eq!(m.latency(0, 1), FabricParams::datacenter().latency);
-        let t = m.transfer(0, 1, Nanoseconds::ZERO, MB).unwrap();
+    fn single_spine_preset_answers_topology_queries() {
+        let fp = FabricParams::datacenter();
+        let mut f = ClosFabric::new(4, ClosParams::single_spine(fp, 4)).unwrap();
+        assert_eq!(f.racks(), 1);
+        assert_eq!(f.spines(), 1);
+        assert_eq!(f.live_spines(), 1);
+        assert_eq!(f.rack_of(3), 0);
+        assert_eq!(f.spine_free_at(0), Some(Nanoseconds::ZERO));
+        assert_eq!(f.spine_free_at(1), None);
+        assert!(f.fail_spine(0).is_err(), "the last spine never fails");
+        assert!(f.fail_spine(1).is_err());
+        assert_eq!(f.latency(0, 1), fp.latency);
+        let t = f.transfer(0, 1, Nanoseconds::ZERO, MB).unwrap();
+        assert_eq!(f.bytes_carried(), MB);
+        // Every burst is rack-local: the spine stays cold, and the occupancy
+        // signal reads the leaf, which plays the backbone's role.
+        assert_eq!(f.spine_free_at(0), Some(Nanoseconds::ZERO));
+        assert_eq!(f.free_at(), t.saturating_sub(fp.latency));
+        assert_eq!(f.free_at(), f.path_free_at(2, 3).unwrap());
+
+        // On a multi-rack fabric the same signal reads the spine tier, which
+        // a rack-local transfer never touches.
+        let mut c = dc(4, 8);
+        assert_eq!(c.racks(), 4);
+        assert_eq!(c.rack_of(9), 1);
+        assert!(c.fail_spine(0).is_ok());
+        assert_eq!(c.live_spines(), 3);
+        assert!(c.transfer(0, 1, Nanoseconds::ZERO, MB).unwrap() > Nanoseconds::ZERO);
+        assert_eq!(c.bytes_carried(), MB);
+        assert_eq!(c.free_at(), Nanoseconds::ZERO);
+        c.transfer(0, 8, Nanoseconds::ZERO, MB).unwrap();
         assert_eq!(
-            m.spine_free_at(0),
-            Some(t.saturating_sub(FabricParams::datacenter().latency))
+            c.free_at(),
+            Nanoseconds::ZERO,
+            "three live spines, one busy"
         );
     }
 
+    /// One fixed burst sequence for the golden fixture:
+    /// `(from, to, now_ns, stripes)`.
+    type Burst = (usize, usize, u64, &'static [u64]);
+    /// The recorded outcome of one burst:
+    /// `(arrival, path_free_at(from, to), backbone free_at)`, all in ns.
+    type Mark3 = (u64, u64, u64);
+
+    struct GoldenCase {
+        params: FabricParams,
+        endpoints: usize,
+        bursts: &'static [Burst],
+        marks: &'static [Mark3],
+        /// `(bytes_carried, wire_bytes_carried, transfers)`.
+        totals: (u64, u64, u64),
+        sent: &'static [u64],
+        received: &'static [u64],
+    }
+
+    /// The single-spine preset against a fixture recorded from the
+    /// standalone single-spine simulator that the preset replaced. Single
+    /// payloads go through `transfer`, the rest through `transfer_striped`.
     #[test]
-    fn any_fabric_delegates_both_ways() {
-        let mut s = AnyFabric::Single(Fabric::new(4, FabricParams::datacenter()).unwrap());
-        let mut c = AnyFabric::Clos(dc(4, 8));
-        assert_eq!(s.racks(), 1);
-        assert_eq!(c.racks(), 4);
-        assert_eq!(s.rack_of(3), 0);
-        assert_eq!(c.rack_of(9), 1);
-        assert!(s.fail_spine(0).is_err());
-        assert!(c.fail_spine(0).is_ok());
-        assert_eq!(c.live_spines(), 3);
-        let a = s.transfer(0, 1, Nanoseconds::ZERO, MB).unwrap();
-        let b = c.transfer(0, 1, Nanoseconds::ZERO, MB).unwrap();
-        assert!(a > Nanoseconds::ZERO && b > Nanoseconds::ZERO);
-        assert_eq!(s.bytes_carried(), MB);
-        assert_eq!(c.bytes_carried(), MB);
-        assert!(s.min_live_spine_free_at() > Nanoseconds::ZERO);
-        // Clos rack-local transfer leaves every spine cold.
-        assert_eq!(c.min_live_spine_free_at(), Nanoseconds::ZERO);
+    fn single_spine_preset_replays_the_recorded_fabric_fixture() {
+        let narrow_backbone = FabricParams {
+            nic_bytes_per_second: 1_000_000_000,
+            backbone_bytes_per_second: 300_000_000,
+            latency: Nanoseconds(7_000),
+            mtu: 1500,
+            chunk_overhead: 90,
+        };
+        let cases = [
+            GoldenCase {
+                params: FabricParams::office_lan(),
+                endpoints: 4,
+                bursts: &[
+                    (0, 1, 0, &[1_000_000]),
+                    (2, 3, 0, &[500_000]),
+                    (1, 2, 1_000_000, &[300_000, 300_000, 1]),
+                    (3, 0, 0, &[0, 0]),
+                    (0, 3, 50_000_000, &[4_000_001]),
+                    (2, 1, 0, &[9000, 0, 12345, 70000]),
+                    (1, 0, 200_000_000, &[]),
+                ],
+                marks: &[
+                    (8_680_240, 8_480_240, 8_480_240),
+                    (12_920_720, 12_720_720, 12_720_720),
+                    (18_009_448, 17_809_448, 17_809_448),
+                    (18_009_448, 17_809_448, 17_809_448),
+                    (84_120_248, 83_920_248, 83_920_248),
+                    (84_895_648, 84_695_648, 84_695_648),
+                    (200_200_000, 200_000_000, 200_000_000),
+                ],
+                totals: (6_191_347, 6_563_137, 11),
+                sent: &[5_000_001, 600_001, 591_345, 0],
+                received: &[0, 1_091_345, 600_001, 4_500_001],
+            },
+            GoldenCase {
+                params: FabricParams::datacenter(),
+                endpoints: 3,
+                bursts: &[
+                    (0, 2, 0, &[64 << 20]),
+                    (1, 0, 0, &[1 << 20, 1 << 20, 1 << 20, 1 << 20]),
+                    (2, 1, 5_000_000, &[1]),
+                    (0, 1, 1_000_000_000, &[8999, 9000, 9001]),
+                ],
+                marks: &[
+                    (54_273_995, 54_223_995, 54_223_995),
+                    (57_663_134, 57_613_134, 57_613_134),
+                    (57_663_206, 57_613_206, 57_613_206),
+                    (1_000_071_888, 1_000_021_888, 1_000_021_888),
+                ],
+                totals: (71_330_169, 72_043_869, 9),
+                sent: &[67_135_864, 4_194_304, 1],
+                received: &[4_194_304, 27_001, 67_108_864],
+            },
+            GoldenCase {
+                params: FabricParams::wan(),
+                endpoints: 2,
+                bursts: &[
+                    (0, 1, 0, &[1_500_000]),
+                    (1, 0, 0, &[1500, 1501]),
+                    (0, 1, 10_000_000_000, &[0]),
+                ],
+                marks: &[
+                    (132_200_000, 127_200_000, 127_200_000),
+                    (132_461_680, 127_461_680, 127_461_680),
+                    (10_005_000_000, 10_000_000_000, 10_000_000_000),
+                ],
+                totals: (1_503_001, 1_593_271, 4),
+                sent: &[1_500_000, 3001],
+                received: &[3001, 1_500_000],
+            },
+            GoldenCase {
+                params: narrow_backbone,
+                endpoints: 5,
+                bursts: &[
+                    (0, 1, 0, &[2_000_000]),
+                    (2, 3, 0, &[2_000_000]),
+                    (4, 0, 123_456, &[100_000, 200_000]),
+                    (3, 4, 0, &[77]),
+                ],
+                marks: &[
+                    (7_073_866, 7_066_866, 7_066_866),
+                    (14_140_732, 14_133_732, 14_133_732),
+                    (15_201_032, 15_194_032, 15_194_032),
+                    (15_201_588, 15_194_588, 15_194_588),
+                ],
+                totals: (4_300_077, 4_558_377, 5),
+                sent: &[2_000_000, 0, 2_000_000, 77, 300_000],
+                received: &[300_000, 2_000_000, 0, 2_000_000, 77],
+            },
+        ];
+        for case in &cases {
+            let n = case.endpoints;
+            let mut f = ClosFabric::new(n, ClosParams::single_spine(case.params, n)).unwrap();
+            assert_eq!(case.bursts.len(), case.marks.len());
+            for (&(from, to, now, stripes), &mark) in case.bursts.iter().zip(case.marks) {
+                let now = Nanoseconds(now);
+                let arrival = if let [payload] = stripes {
+                    f.transfer(from, to, now, *payload).unwrap()
+                } else {
+                    f.transfer_striped(from, to, now, stripes).unwrap()
+                };
+                let got = (
+                    arrival.0,
+                    f.path_free_at(from, to).unwrap().0,
+                    f.free_at().0,
+                );
+                assert_eq!(got, mark, "{:?} burst {from}->{to} at {now:?}", case.params);
+            }
+            let totals = (f.bytes_carried(), f.wire_bytes_carried(), f.transfers());
+            assert_eq!(totals, case.totals, "{:?}", case.params);
+            let sent: Vec<u64> = (0..n).map(|i| f.bytes_sent_by(i)).collect();
+            let received: Vec<u64> = (0..n).map(|i| f.bytes_received_by(i)).collect();
+            assert_eq!(sent, case.sent);
+            assert_eq!(received, case.received);
+            assert_eq!(f.spine_free_at(0), Some(Nanoseconds::ZERO));
+            assert_eq!(f.spine_wire_bytes(0), 0);
+        }
     }
 
     proptest! {
-        /// The ISSUE 8 degenerate-equivalence pin: a 1-rack/1-spine
-        /// `ClosFabric` built from any valid `FabricParams` produces `==`
-        /// completion times and counters to the original `Fabric` across
-        /// random payload sequences, stream splits and start instants.
-        #[test]
-        fn one_rack_one_spine_clos_equals_single_spine_fabric(
-            nic in 1_000u64..10_000_000_000,
-            backbone in 1_000u64..10_000_000_000,
-            latency_ns in 0u64..10_000_000,
-            endpoints in 2usize..6,
-            bursts in proptest::collection::vec(
-                (
-                    0usize..6, 0usize..6,            // from/to (mod endpoints, skip equal)
-                    0u64..50_000_000,                 // start instant
-                    proptest::collection::vec(0u64..10_000_000, 1..5), // stripes
-                ),
-                1..12,
-            ),
-        ) {
-            let fp = FabricParams {
-                nic_bytes_per_second: nic,
-                backbone_bytes_per_second: backbone,
-                latency: Nanoseconds(latency_ns),
-                mtu: 1500,
-                chunk_overhead: 90,
-            };
-            let mut single = Fabric::new(endpoints, fp).unwrap();
-            let mut clos =
-                ClosFabric::new(endpoints, ClosParams::degenerate(fp, endpoints)).unwrap();
-            for (from, to, start, stripes) in &bursts {
-                let (from, to) = (from % endpoints, to % endpoints);
-                if from == to {
-                    continue;
-                }
-                let now = Nanoseconds(*start);
-                let a = single.transfer_striped(from, to, now, stripes).unwrap();
-                let b = clos.transfer_striped(from, to, now, stripes).unwrap();
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(
-                    single.path_free_at(from, to).unwrap(),
-                    clos.path_free_at(from, to).unwrap()
-                );
-            }
-            prop_assert_eq!(single.bytes_carried(), clos.bytes_carried());
-            prop_assert_eq!(single.wire_bytes_carried(), clos.wire_bytes_carried());
-            prop_assert_eq!(single.transfers(), clos.transfers());
-        }
-
         /// Clos arrival times are monotone per pair and deterministic.
         #[test]
         fn clos_transfers_are_monotonic_and_deterministic(

@@ -10,35 +10,29 @@
 //! * **live migration** (`rvisor-migrate`) pushes memory pages through a
 //!   [`Link`], whose bandwidth model determines round lengths and downtime —
 //!   exactly the quantity experiment E4 sweeps, or through a shared
-//!   [`Fabric`] when whole fleets contend for the network (experiment E17).
+//!   [`ClosFabric`] when whole fleets contend for the network (experiments
+//!   E17 and E21).
 //!
 //! ## The fabric model
 //!
-//! [`Fabric`] upgrades the private point-to-point [`Link`] to a shared
-//! datacenter network: every endpoint owns a NIC of
-//! [`FabricParams::nic_bytes_per_second`], all NICs feed one backbone of
-//! [`FabricParams::backbone_bytes_per_second`], and payloads are chunked
-//! into [`FabricParams::mtu`]-sized packets each paying
-//! [`FabricParams::chunk_overhead`] bytes of framing. Timing is pure
-//! integer-nanosecond arithmetic — transfers between the same or disjoint
-//! host pairs queue deterministically on the busy-until marks of the NICs
-//! and the backbone — so orchestrator runs over a fabric replay
-//! `==`-identically. Every modelling assumption (single-spine worst-case
-//! contention, store-and-forward occupancy, once-per-burst latency) is
-//! documented on the [`fabric`] module with the parameter that controls it.
+//! [`ClosFabric`] upgrades the private point-to-point [`Link`] to a shared
+//! datacenter network, and it is the only fabric simulator. Hosts live in
+//! racks behind leaf switches of
+//! [`ClosParams::leaf_uplink_bytes_per_second`], connected by
+//! [`ClosParams::spines`] independent spine paths; every endpoint owns a
+//! NIC, and payloads are chunked into MTU-sized packets that each pay
+//! framing bytes. Striped transfers hash their streams ECMP-style across
+//! the live spines, so cross-rack multi-stream migration genuinely
+//! completes earlier in simulated time, while rack-local traffic skips the
+//! spine tier entirely.
 //!
-//! ## The Clos model
-//!
-//! [`ClosFabric`] generalizes the single-spine fabric to the two-tier
-//! leaf/spine topology real datacenters run: racks of hosts behind leaf
-//! switches of [`ClosParams::leaf_uplink_bytes_per_second`], connected by
-//! [`ClosParams::spines`] independent spine paths. Striped transfers hash
-//! their streams ECMP-style across the live spines, so cross-rack
-//! multi-stream migration genuinely completes earlier in simulated time,
-//! while rack-local traffic skips the spine tier entirely. Both topologies
-//! sit behind the [`FabricModel`] trait ([`AnyFabric`] erases the choice),
-//! and a 1-rack/1-spine [`ClosFabric`] is proptest-pinned `==`-equal to the
-//! original [`Fabric`].
+//! The worst case — every host behind one shared backbone, where
+//! disjoint host pairs contend and striping never wins — is the
+//! [`ClosParams::single_spine`] preset built from [`FabricParams`]: one
+//! rack whose leaf plays the backbone's role. Every modelling assumption
+//! is a named parameter, documented on the [`clos`] module and on the
+//! preset. Timing is pure integer-nanosecond arithmetic over busy-until
+//! marks, so orchestrator runs over the fabric replay `==`-identically.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -49,8 +43,8 @@ pub mod frame;
 pub mod link;
 pub mod switch;
 
-pub use clos::{AnyFabric, ClosFabric, ClosParams, FabricModel};
-pub use fabric::{Fabric, FabricParams, DEFAULT_CHUNK_OVERHEAD};
+pub use clos::{ClosFabric, ClosParams};
+pub use fabric::{FabricParams, DEFAULT_CHUNK_OVERHEAD};
 pub use frame::{Frame, MacAddr, ETHERTYPE_IPV4, MAX_FRAME_SIZE, MIN_FRAME_SIZE};
 pub use link::{Link, LinkModel};
 pub use switch::{SwitchPort, SwitchStats, VirtualSwitch};

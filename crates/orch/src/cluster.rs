@@ -66,7 +66,7 @@ use std::num::NonZeroU64;
 use rvisor::{Vm, VmConfig, VmLifecycle, Vmm};
 use rvisor_cluster::{Host, HostSpec, PlacementStrategy, VmSpec};
 use rvisor_migrate::{FabricTransport, MigrationPlan, MigrationReport};
-use rvisor_net::{AnyFabric, ClosFabric, ClosParams, Fabric};
+use rvisor_net::{ClosFabric, ClosParams};
 use rvisor_obs::{ArgValue, Trace};
 use rvisor_snapshot::{CasStore, IngestStats, ManifestId, SnapshotId, SnapshotStore};
 use rvisor_types::{ByteSize, Error, GuestAddress, HostId, Nanoseconds, Result, VmId, PAGE_SIZE};
@@ -339,7 +339,7 @@ impl OrchHost {
 #[derive(Debug)]
 pub struct Cluster {
     hosts: Vec<OrchHost>,
-    fabric: AnyFabric,
+    fabric: ClosFabric,
     params: OrchParams,
     /// Racks the *hosts* are spread over (1 for the single-spine topology;
     /// excludes the DR endpoint's own rack).
@@ -415,10 +415,11 @@ impl Cluster {
         }
         // One endpoint per host, plus the DR backup target.
         let (fabric, n_host_racks) = match params.topology {
-            crate::FabricTopology::SingleSpine => (
-                AnyFabric::Single(Fabric::new(hosts.len() + 1, params.fabric)?),
-                1,
-            ),
+            crate::FabricTopology::SingleSpine => {
+                let endpoints = hosts.len() + 1;
+                let single = ClosParams::single_spine(params.fabric, endpoints);
+                (ClosFabric::new(endpoints, single)?, 1)
+            }
             crate::FabricTopology::Clos {
                 racks,
                 spines,
@@ -448,7 +449,7 @@ impl Cluster {
                     (0..hosts.len()).map(|pos| pos / hosts_per_rack).collect();
                 racks_of.push(racks); // the DR endpoint's own rack
                 (
-                    AnyFabric::Clos(ClosFabric::with_rack_assignment(clos_params, racks_of)?),
+                    ClosFabric::with_rack_assignment(clos_params, racks_of)?,
                     racks,
                 )
             }
@@ -490,8 +491,13 @@ impl Cluster {
         &self.hosts
     }
 
-    /// The shared migration/DR fabric (single-spine or Clos).
-    pub fn fabric(&self) -> &AnyFabric {
+    /// The shared migration/DR fabric. The default
+    /// [`FabricTopology::SingleSpine`](crate::FabricTopology::SingleSpine)
+    /// builds it from the one-rack
+    /// [`ClosParams::single_spine`](rvisor_net::ClosParams::single_spine)
+    /// preset; [`FabricTopology::Clos`](crate::FabricTopology::Clos) builds
+    /// a multi-rack fabric with the DR endpoint in its own rack.
+    pub fn fabric(&self) -> &ClosFabric {
         &self.fabric
     }
 
@@ -530,12 +536,6 @@ impl Cluster {
     /// always refuses (it would partition).
     pub fn fail_spine(&mut self, spine: usize) -> Result<()> {
         self.fabric.fail_spine(spine)
-    }
-
-    /// The earliest busy-until mark over all live spines — the rebalance
-    /// policies' hot-spine occupancy query.
-    pub fn min_live_spine_free_at(&self) -> Nanoseconds {
-        self.fabric.min_live_spine_free_at()
     }
 
     /// Attach a trace to the cluster and its fabric: migrations, backups

@@ -42,8 +42,9 @@
 //! [`Cluster::migrate_planned`] and [`Vmm::migrate_to`](rvisor::Vmm::migrate_to)
 //! (engine per decision: pre-copy/post-copy for running guests,
 //! stop-and-copy otherwise) and the cluster power controls. Migrations stream in the
-//! wire format across a shared [`Fabric`](rvisor_net::Fabric) — per-host
-//! NICs, one backbone, MTU chunking ([`OrchParams::fabric`]) — and DR
+//! wire format across a shared [`ClosFabric`](rvisor_net::ClosFabric) —
+//! per-host NICs, one backbone by default, MTU chunking
+//! ([`OrchParams::fabric`], [`FabricTopology`]) — and DR
 //! backup sweeps cross the same fabric to a dedicated DR endpoint, so
 //! migration duration, downtime and backup lag all come from modelled
 //! bytes-on-wire contention rather than free copies. Three policies ship: [`ThresholdRebalance`]
@@ -102,7 +103,7 @@
 //! equivalence with the linear-scan originals is pinned by tests), and
 //! [`EventQueue`] is a calendar queue with O(1) expected push/pop that
 //! preserves `(Nanoseconds, seq)` FIFO ordering exactly — proptest-pinned
-//! against the retained [`MinHeapQueue`] reference implementation.
+//! against the binary-heap queue it replaced, kept as a test reference.
 //!
 //! ### Dense VM keys
 //!
@@ -151,7 +152,7 @@ pub mod report;
 pub mod scenario;
 
 pub use cluster::{BackupHandle, Cluster, HostPower, OrchHost, VmKey};
-pub use event::{EventQueue, MinHeapQueue, OrchEvent, Scheduled};
+pub use event::{EventQueue, OrchEvent, Scheduled};
 pub use orchestrator::{run_datacenter, Orchestrator};
 pub use params::{EngineChoice, FabricTopology, OrchParams, VmFidelity, MIN_GUEST_MEMORY};
 pub use planner::{MigrationPlanner, PlanChoice};

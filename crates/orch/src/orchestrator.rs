@@ -864,7 +864,7 @@ impl Orchestrator {
             // never touch a spine and always proceed.
             if let Some(defer) = self.params.hot_spine_defer {
                 if self.cluster.is_cross_rack(from, decision.to)
-                    && self.cluster.min_live_spine_free_at() > self.now.saturating_add(defer)
+                    && self.cluster.fabric().free_at() > self.now.saturating_add(defer)
                 {
                     self.report.migrations_skipped += 1;
                     if self.trace.is_on() {
@@ -876,7 +876,7 @@ impl Orchestrator {
                                 ("vm", ArgValue::Str(&decision.vm)),
                                 (
                                     "spines_free_at_ns",
-                                    ArgValue::U64(self.cluster.min_live_spine_free_at().as_nanos()),
+                                    ArgValue::U64(self.cluster.fabric().free_at().as_nanos()),
                                 ),
                             ],
                         );
@@ -1205,6 +1205,96 @@ mod tests {
         assert!(r.power_off_actions > 0, "idle hosts must be parked: {r}");
         assert!(r.hosts_powered_at_end < 6);
         assert!(r.avg_hosts_powered() < 6.0);
+    }
+
+    /// An adaptive-planner day on the default single-spine fabric whose
+    /// planner differs from the defaults only where it must for the fabric
+    /// backlog to decide: nothing is tiny or dirty-hot, every guest is big,
+    /// so each decision is "big-idle" (4-stream pre-copy) when the backlog
+    /// is at most `idle_backlog_max` and "default" (1 stream) otherwise.
+    fn backlog_planner_day(idle_backlog_max: Nanoseconds) -> OrchReport {
+        let specs = (0..4)
+            .map(|i| HostSpec::modern_server(HostId::new(i as u32)))
+            .collect();
+        let params = OrchParams {
+            engine: Some(EngineChoice::Auto),
+            ..fast_params()
+        };
+        let mut orch = Orchestrator::new(specs, params, Box::new(SpreadRebalance)).unwrap();
+        orch.set_planner(MigrationPlanner {
+            tiny_guest_max: rvisor_types::ByteSize::new(0),
+            hot_dirty_rate: u64::MAX,
+            big_guest_min: rvisor_types::ByteSize::new(1),
+            idle_backlog_max,
+            ..MigrationPlanner::default()
+        });
+        orch.run(&small_scenario(7, 1)).unwrap()
+    }
+
+    /// Golden report of the backlog-driven planner day, recorded before the
+    /// single-spine fabric became a `ClosFabric` preset. A 1 ms threshold
+    /// splits the day's 24 decisions between both rungs, so the literal
+    /// differs from the all-"big-idle" day a backlog signal stuck at zero
+    /// would produce (checked below) as well as from the all-"default" one.
+    #[test]
+    fn backlog_planner_day_report_is_golden() {
+        let r = backlog_planner_day(Nanoseconds::from_millis(1));
+        let golden = OrchReport {
+            sim_end: Nanoseconds(7_200_000_000_000),
+            events_processed: 151,
+            events_dropped: 0,
+            vms_arrived: 40,
+            vms_placed: 40,
+            placements_deferred: 0,
+            placements_unmet: 0,
+            placement_latency_total: Nanoseconds(1_800_000_000_000),
+            placement_latency_max: Nanoseconds(45_000_000_000),
+            vms_departed: 10,
+            vms_running_at_end: 30,
+            peak_vms: 30,
+            migrations_planned: 24,
+            migrations_completed: 24,
+            migrations_skipped: 0,
+            migration_downtime_total: Nanoseconds(2_482_368),
+            migration_time_total: Nanoseconds(9_992_304),
+            migration_fabric_wait_total: Nanoseconds(13_189_752),
+            migration_bytes: 6_415_920,
+            downtime_duration_integral: 1_033_523_987_328,
+            planner_decisions: 24,
+            planner_stop_and_copy: 0,
+            planner_pre_copy: 24,
+            planner_post_copy: 0,
+            planner_fault_lane: 0,
+            backups_taken: 120,
+            backup_bytes: 31_521_600,
+            backup_time_total: Nanoseconds(567_815_744),
+            backup_chunks_shipped: 0,
+            backup_chunks_deduped: 0,
+            backup_bytes_deduped: 0,
+            dr_store_chunks: 0,
+            dr_store_bytes: 0,
+            hosts_failed: 1,
+            spines_failed: 0,
+            vms_lost_at_failure: 0,
+            vms_restored: 0,
+            vms_lost_permanently: 0,
+            vm_time_lost: Nanoseconds(0),
+            power_on_actions: 0,
+            power_off_actions: 0,
+            powered_host_time: Nanoseconds(22_939_579_411_265),
+            peak_hosts_powered: 3,
+            hosts_powered_at_end: 3,
+        };
+        assert_eq!(r, golden);
+        // A backlog that always read zero would make every decision
+        // "big-idle": exactly the day with the threshold wide open.
+        let always_idle = backlog_planner_day(Nanoseconds(u64::MAX));
+        assert_ne!(
+            always_idle.migration_time_total,
+            golden.migration_time_total
+        );
+        let never_idle = backlog_planner_day(Nanoseconds::ZERO);
+        assert_ne!(never_idle.migration_time_total, golden.migration_time_total);
     }
 
     use proptest::prelude::*;

@@ -79,17 +79,21 @@ impl EngineChoice {
 
 /// The network topology a cluster's fabric is built with.
 ///
-/// [`SingleSpine`](FabricTopology::SingleSpine) is the PR 4 worst case —
-/// one shared backbone, every pair contends — and stays the default so
+/// Both variants build one [`rvisor_net::ClosFabric`].
+/// [`SingleSpine`](FabricTopology::SingleSpine) is the worst case — one
+/// shared backbone, every pair contends — and stays the default so
 /// existing runs replay unchanged. [`Clos`](FabricTopology::Clos) builds a
-/// two-tier [`rvisor_net::ClosFabric`]: hosts are assigned to `racks`
+/// multi-rack leaf/spine fabric: hosts are assigned to `racks`
 /// contiguously, the DR endpoint gets its own extra rack (backup traffic
 /// crosses the spine tier instead of a global backbone), and striped
 /// migrations spread ECMP-style over the spines. NIC rate, MTU, chunk
 /// overhead and the rack-local latency come from [`OrchParams::fabric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FabricTopology {
-    /// One shared backbone (the degenerate 1-rack/1-spine case).
+    /// One shared backbone: the one-rack
+    /// [`ClosParams::single_spine`](rvisor_net::ClosParams::single_spine)
+    /// preset of [`OrchParams::fabric`], every host and the DR endpoint
+    /// behind one leaf that plays the backbone's role.
     #[default]
     SingleSpine,
     /// A two-tier leaf/spine Clos fabric.
@@ -163,7 +167,7 @@ pub struct OrchParams {
     /// [`rvisor_migrate::MAX_MIGRATION_STREAMS`]). With more than one
     /// stream, migrations run through the pipelined multi-stream data plane
     /// and their fabric occupancy is modelled as fair-share chunk streams
-    /// ([`rvisor_net::Fabric::transfer_striped`]): same payload bytes and
+    /// ([`rvisor_net::ClosFabric::transfer_striped`]): same payload bytes and
     /// destination memory as a serial stream. On the default
     /// [`FabricTopology::SingleSpine`] fabric this is never *faster* in
     /// simulated time (each stream pays its own MTU framing; the win is

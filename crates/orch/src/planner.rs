@@ -14,7 +14,8 @@
 //! 2. **Guest size** — the VmSpec's configured memory (the capacity
 //!    accounting scale, not the simulation scale).
 //! 3. **Fabric occupancy** — how far past `now` the least-loaded live core
-//!    path is already booked ([`rvisor_net::FabricModel::free_at`]).
+//!    path is already booked ([`rvisor_net::ClosFabric::free_at`]: the
+//!    least-busy live spine, or the backbone of the single-spine fabric).
 //!
 //! Purity is what makes the decisions testable as a table and the adaptive
 //! day replayable `==` under the same seed: the planner holds thresholds,
